@@ -4,8 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use keddah_des::SimTime;
+use keddah_faults::FaultSchedule;
 use keddah_netsim::fair::max_min_rates;
-use keddah_netsim::{simulate, FlowSpec, HostId, SimOptions, Topology};
+use keddah_netsim::{simulate, FlowSpec, HostId, SimOptions, StaticSource, Topology};
+use keddah_obs::Obs;
 use std::hint::black_box;
 
 /// Progressive-filling cost as the active flow set grows, on a fat-tree
@@ -37,6 +39,7 @@ fn bench_max_min(c: &mut Criterion) {
 /// End-to-end fluid simulation of a shuffle-like all-to-few pattern.
 fn bench_simulate(c: &mut Criterion) {
     let topo = Topology::leaf_spine(4, 8, 4, 1e9, 2.0);
+    let (sched, obs) = (FaultSchedule::empty(), Obs::disabled());
     let mut group = c.benchmark_group("simulate");
     group.sample_size(10);
     for &n in &[200usize, 2_000] {
@@ -50,7 +53,10 @@ fn bench_simulate(c: &mut Criterion) {
             })
             .collect();
         group.bench_with_input(BenchmarkId::from_parameter(n), &flows, |b, flows| {
-            b.iter(|| simulate(&topo, black_box(flows), SimOptions::default()).makespan())
+            b.iter(|| {
+                let mut source = StaticSource::new(black_box(flows).clone());
+                simulate(&topo, &mut source, &sched, SimOptions::default(), &obs).makespan()
+            })
         });
     }
     group.finish();

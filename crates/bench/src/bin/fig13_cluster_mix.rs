@@ -10,10 +10,11 @@
 use keddah_bench::{default_config, gib, heading, mean, percentile, testbed};
 use keddah_core::mix::{JobMix, MixEntry};
 use keddah_core::pipeline::Keddah;
-use keddah_core::replay::replay_jobs;
+use keddah_core::replay::{jobs_to_flows, replay_source_observed};
 use keddah_flowcap::Component;
 use keddah_hadoop::{JobSpec, Workload};
-use keddah_netsim::{SimOptions, Topology};
+use keddah_netsim::{SimOptions, StaticSource, Topology};
+use keddah_obs::Obs;
 
 fn main() {
     heading("Figure 13 [extension]: 10-minute cluster mix from models");
@@ -60,7 +61,8 @@ fn main() {
         mouse_threshold: 10_000,
         ..SimOptions::default()
     };
-    let report = replay_jobs(&jobs, &topo, opts).expect("mix fits fabric");
+    let mut source = StaticSource::new(jobs_to_flows(&jobs, &topo).expect("mix fits fabric"));
+    let report = replay_source_observed(&topo, &mut source, opts, &Obs::disabled());
     println!(
         "replayed {} flows on {} — makespan {:.0} s, peak link {:.1}%",
         report.sim.results.len(),

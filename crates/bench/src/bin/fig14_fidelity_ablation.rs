@@ -10,9 +10,11 @@
 use keddah_bench::{default_config, gib, heading, mean, percentile, testbed};
 use keddah_core::pipeline::Keddah;
 use keddah_core::replay::jobs_to_flows;
+use keddah_faults::FaultSchedule;
 use keddah_flowcap::Component;
 use keddah_hadoop::{JobSpec, Workload};
-use keddah_netsim::{simulate, simulate_tcp, SimOptions, TcpOptions, Topology};
+use keddah_netsim::{simulate, simulate_tcp, SimOptions, StaticSource, TcpOptions, Topology};
+use keddah_obs::Obs;
 
 fn main() {
     heading("Figure 14 [extension]: fluid vs TCP fidelity (TeraSort 4 GiB)");
@@ -54,15 +56,16 @@ fn main() {
         "{:<28} {:>10} {:>10} {:>10} {:>10}",
         "model", "mean", "p50", "p95", "p99"
     );
-    let fluid = simulate(&topo, &data_flows, SimOptions::default());
-    let fluid_ss = simulate(
-        &topo,
-        &data_flows,
-        SimOptions {
-            tcp_slow_start: true,
-            ..SimOptions::default()
-        },
-    );
+    let (sched, obs) = (FaultSchedule::empty(), Obs::disabled());
+    let fluid_run = |options| {
+        let mut source = StaticSource::new(data_flows.clone());
+        simulate(&topo, &mut source, &sched, options, &obs)
+    };
+    let fluid = fluid_run(SimOptions::default());
+    let fluid_ss = fluid_run(SimOptions {
+        tcp_slow_start: true,
+        ..SimOptions::default()
+    });
     let tcp = simulate_tcp(&topo, &data_flows, TcpOptions::default());
     for (name, report) in [
         ("fluid max-min", &fluid),

@@ -8,10 +8,11 @@
 
 use keddah_bench::{cdf_rows, default_config, gib, heading, testbed};
 use keddah_core::pipeline::Keddah;
-use keddah_core::replay::{replay_jobs, replay_trace};
+use keddah_core::replay::{jobs_to_flows, replay_source_observed, trace_to_flows};
 use keddah_flowcap::Component;
 use keddah_hadoop::{JobSpec, Workload};
-use keddah_netsim::{SimOptions, Topology};
+use keddah_netsim::{SimOptions, StaticSource, Topology};
+use keddah_obs::Obs;
 use keddah_stat::ks::ks_two_sample;
 
 const QUANTILES: &[f64] = &[0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
@@ -31,9 +32,13 @@ fn main() {
         ..SimOptions::default()
     };
 
-    let trace_replay = replay_trace(&traces[0], &topo, opts).expect("trace fits topology");
+    let trace_flows = trace_to_flows(&traces[0], &topo).expect("trace fits topology");
+    let model_flows = jobs_to_flows(&[model.generate_job(1)], &topo).expect("job fits topology");
+    let obs = Obs::disabled();
+    let trace_replay =
+        replay_source_observed(&topo, &mut StaticSource::new(trace_flows), opts, &obs);
     let model_replay =
-        replay_jobs(&[model.generate_job(1)], &topo, opts).expect("job fits topology");
+        replay_source_observed(&topo, &mut StaticSource::new(model_flows), opts, &obs);
 
     for &component in Component::DATA {
         let empty = Vec::new();

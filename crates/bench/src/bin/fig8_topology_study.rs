@@ -8,10 +8,11 @@
 
 use keddah_bench::{default_config, gib, heading, percentile, testbed};
 use keddah_core::pipeline::Keddah;
-use keddah_core::replay::replay_jobs;
+use keddah_core::replay::{jobs_to_flows, replay_source_observed};
 use keddah_flowcap::Component;
 use keddah_hadoop::{JobSpec, Workload};
-use keddah_netsim::{SimOptions, Topology};
+use keddah_netsim::{SimOptions, StaticSource, Topology};
+use keddah_obs::Obs;
 
 fn main() {
     heading("Figure 8: generated TeraSort on alternative fabrics");
@@ -43,7 +44,9 @@ fn main() {
         "fabric", "p50 (s)", "p95 (s)", "p99 (s)", "peak util"
     );
     for topo in &fabrics {
-        let report = replay_jobs(&jobs, topo, opts).expect("model fits all fabrics");
+        let flows = jobs_to_flows(&jobs, topo).expect("model fits all fabrics");
+        let report =
+            replay_source_observed(topo, &mut StaticSource::new(flows), opts, &Obs::disabled());
         let shuffle = report
             .fct_by_component
             .get(&Component::Shuffle)

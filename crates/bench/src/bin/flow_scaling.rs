@@ -7,8 +7,8 @@
 //!
 //! * `incremental` — flow bundles + incremental [`FairShareState`]
 //!   (the default engine);
-//! * `no_aggregate` — singleton bundles (`SimOptions::aggregate =
-//!   false`, the `KEDDAH_NO_AGGREGATE` oracle): the pre-bundle engine,
+//! * `no_aggregate` — singleton bundles (the `SimOptions::aggregate =
+//!   false` oracle): the pre-bundle engine,
 //!   i.e. the 100k-flow cliff this bench exists to pin;
 //! * `full` — singleton bundles plus forced full progressive filling on
 //!   every event (`SimOptions::full_recompute`): the pre-incremental
@@ -43,10 +43,12 @@ use std::time::Instant;
 use criterion::{black_box, BenchmarkId, Criterion};
 use keddah_bench::{heading, smoke};
 use keddah_des::SimTime;
+use keddah_faults::FaultSchedule;
 use keddah_netsim::{
-    simulate, simulate_source, FairShareState, FlowId, FlowResult, FlowSpec, HostId, SimOptions,
-    SimReport, Topology, TrafficSource,
+    simulate, FairShareState, FlowId, FlowResult, FlowSpec, HostId, SimOptions, SimReport,
+    StaticSource, Topology, TrafficSource,
 };
+use keddah_obs::Obs;
 use serde::{Deserialize, Serialize};
 
 /// Racks and hosts per rack of the bench fabric.
@@ -338,7 +340,7 @@ fn main() {
     bench_allocator_churn(&mut criterion);
     criterion.final_summary();
 
-    let topo = fabric();
+    let (topo, sched, obs) = (fabric(), FaultSchedule::empty(), Obs::disabled());
     let sizes: &[usize] = if smoke {
         &[1_000, 10_000]
     } else {
@@ -361,12 +363,13 @@ fn main() {
                     "open" => {
                         let flows = pair_local_flows(n, bytes);
                         timed("open", n, allocator, || {
-                            simulate(&topo, &flows, options(aggregate, full))
+                            let mut source = StaticSource::new(flows.clone());
+                            simulate(&topo, &mut source, &sched, options(aggregate, full), &obs)
                         })
                     }
                     _ => timed("closed", n, allocator, || {
                         let mut source = ChainSource::new(n, 2, bytes / 2);
-                        simulate_source(&topo, &mut source, options(aggregate, full))
+                        simulate(&topo, &mut source, &sched, options(aggregate, full), &obs)
                     }),
                 });
             }
@@ -397,7 +400,10 @@ fn main() {
     };
 
     let path = "BENCH_netsim.json";
+    // The regression gate's knobs, read at the bench binary's edge.
+    #[allow(clippy::disallowed_methods)]
     let check = std::env::var("KEDDAH_BENCH_CHECK").is_ok_and(|v| v != "0");
+    #[allow(clippy::disallowed_methods)]
     let tolerance = std::env::var("KEDDAH_BENCH_TOLERANCE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())

@@ -330,7 +330,10 @@ fn main() {
     };
 
     let path = "BENCH_stream.json";
+    // The regression gate's knobs, read at the bench binary's edge.
+    #[allow(clippy::disallowed_methods)]
     let check = std::env::var("KEDDAH_BENCH_CHECK").is_ok_and(|v| v != "0");
+    #[allow(clippy::disallowed_methods)]
     let tolerance = std::env::var("KEDDAH_BENCH_TOLERANCE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())

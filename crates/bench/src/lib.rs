@@ -27,6 +27,8 @@ pub fn runner() -> Runner {
 /// otherwise one per available core. Results never depend on this — the
 /// runner's derived seeds make output identical at any width.
 #[must_use]
+// A bench-binary knob, read at the harness edge.
+#[allow(clippy::disallowed_methods)]
 pub fn jobs_from_env() -> usize {
     std::env::var("KEDDAH_JOBS")
         .ok()
@@ -41,6 +43,8 @@ pub fn jobs_from_env() -> usize {
 /// shrink to their minimum input size and repeat count so CI can execute
 /// one real matrix cell per figure without the full campaign's runtime.
 #[must_use]
+// A bench-binary knob, read at the harness edge.
+#[allow(clippy::disallowed_methods)]
 pub fn smoke() -> bool {
     std::env::var("KEDDAH_SMOKE").is_ok_and(|v| v != "0")
 }

@@ -23,9 +23,10 @@
 //!
 //! ```
 //! use keddah_core::pipeline::Keddah;
-//! use keddah_core::replay::{replay_jobs};
+//! use keddah_core::replay::{jobs_to_flows, replay_source_observed};
 //! use keddah_hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
-//! use keddah_netsim::{SimOptions, Topology};
+//! use keddah_netsim::{SimOptions, StaticSource, Topology};
+//! use keddah_obs::Obs;
 //!
 //! // Capture and model a TeraSort.
 //! let cluster = ClusterSpec::racks(2, 4);
@@ -42,7 +43,8 @@
 //! // leaf-spine fabric the physical testbed never had.
 //! let job = model.generate_job(7);
 //! let topo = Topology::leaf_spine(3, 3, 2, 1e9, 4.0);
-//! let report = replay_jobs(&[job], &topo, SimOptions::default()).unwrap();
+//! let mut source = StaticSource::new(jobs_to_flows(&[job], &topo).unwrap());
+//! let report = replay_source_observed(&topo, &mut source, SimOptions::default(), &Obs::disabled());
 //! assert!(report.makespan_secs() > 0.0);
 //! ```
 

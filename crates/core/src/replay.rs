@@ -6,47 +6,45 @@
 //! topology, and split the resulting flow completion times back out by
 //! traffic component.
 //!
-//! Two replay disciplines are supported:
+//! There is one replay routine, [`replay_source_faulted_observed`]; the
+//! caller picks the traffic by building a [`TrafficSource`], and that
+//! choice is the replay discipline:
 //!
-//! * **open loop** ([`replay`], [`replay_trace`], [`replay_jobs`]) —
-//!   every flow starts at its pre-computed time regardless of what the
-//!   network did to its predecessors;
-//! * **closed loop** ([`replay_source`], [`replay_trace_closed`],
-//!   [`replay_model_closed`]) — dependent flows (shuffle after map input,
-//!   write-pipeline hops after their upstream hop) are released only when
-//!   their parents complete *in the simulation*, so congestion propagates
-//!   through the job's causal structure. See [`crate::source`].
+//! * **open loop** — `StaticSource::new(trace_to_flows(..)?)` or
+//!   `StaticSource::new(jobs_to_flows(..)?)`: every flow starts at its
+//!   pre-computed time regardless of what the network did to its
+//!   predecessors;
+//! * **closed loop** — [`crate::TraceSource::new`] or
+//!   [`crate::ModelSource::new`]: dependent flows (shuffle after map
+//!   input, write-pipeline hops after their upstream hop) are released
+//!   only when their parents complete *in the simulation*, so congestion
+//!   propagates through the job's causal structure. See
+//!   [`crate::source`].
 //!
-//! Every discipline has a `*_faulted` variant taking a
-//! [`keddah_faults::FaultSpec`]: the schedule is validated against the
-//! topology and injected as DES events (crashes abort flows, link faults
-//! re-route or degrade them — see [`keddah_netsim::simulate_faulted`]).
-//! Aborted flows are excluded from the per-component FCT samples; an
-//! empty spec is byte-identical to the fault-free entry points.
+//! A [`keddah_faults::FaultSpec`] is validated against the topology and
+//! injected as DES events (crashes abort flows, link faults re-route or
+//! degrade them — see [`keddah_netsim::simulate`]). Aborted flows are
+//! excluded from the per-component FCT samples; an empty spec is
+//! byte-identical to a fault-free run, which [`replay_source_observed`]
+//! is shorthand for.
 //!
-//! Every entry point takes [`SimOptions`], whose performance knobs —
-//! [`SimOptions::aggregate`] (flow bundles, `KEDDAH_NO_AGGREGATE` to
-//! disable), [`SimOptions::solver_jobs`] (parallel fair-share component
-//! solves, `KEDDAH_SEQ_SOLVE` to force sequential) and
-//! [`SimOptions::full_recompute`] (`KEDDAH_FULL_RECOMPUTE`) — trade
-//! wall-clock only: replay reports are byte-identical at every knob
-//! setting, which is what lets DC-scale replays default to the fast
-//! path while the golden corpus pins correctness against the oracles.
+//! Every replay takes [`SimOptions`], whose performance fields —
+//! [`SimOptions::aggregate`] (flow bundles), [`SimOptions::solver_jobs`]
+//! (parallel fair-share component solves; `1` is sequential) and
+//! [`SimOptions::full_recompute`] — trade wall-clock only: replay reports
+//! are byte-identical at every setting, which is what lets DC-scale
+//! replays default to the fast path while the golden corpus pins
+//! correctness against the oracles.
 
 use std::collections::{BTreeMap, HashSet};
 
 use keddah_des::SimTime;
 use keddah_faults::{FaultSchedule, FaultSpec};
 use keddah_flowcap::{Component, Trace};
-use keddah_netsim::{
-    simulate_faulted_observed, FlowSpec, HostId, SimOptions, SimReport, StaticSource, Topology,
-    TrafficSource,
-};
+use keddah_netsim::{simulate, FlowSpec, HostId, SimOptions, SimReport, Topology, TrafficSource};
 use keddah_obs::Obs;
 
 use crate::generate::GeneratedJob;
-use crate::model::KeddahModel;
-use crate::source::{ModelSource, TraceSource};
 use crate::{CoreError, Result};
 
 /// Completion statistics of one replay, split by component.
@@ -80,8 +78,13 @@ pub(crate) fn tag_of(component: Component) -> u32 {
         .expect("component in ALL") as u32
 }
 
+/// Decodes a netsim `tag`; tags that name no component (a library
+/// user's own labels) count as [`Component::Other`].
 pub(crate) fn component_of(tag: u32) -> Component {
-    Component::ALL[tag as usize]
+    Component::ALL
+        .get(tag as usize)
+        .copied()
+        .unwrap_or(Component::Other)
 }
 
 /// Converts a capture trace into flow specs (node *n* maps to host *n*;
@@ -179,156 +182,30 @@ fn compile_spec(spec: &FaultSpec, topo: &Topology) -> Result<FaultSchedule> {
     Ok(spec.schedule())
 }
 
-/// Replays flow specs on a topology and splits completions by component
-/// (open loop).
-#[must_use]
-pub fn replay(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> ReplayReport {
-    replay_observed(topo, flows, options, &Obs::disabled())
-}
-
-/// [`replay`] with an observability handle (see
-/// [`simulate_faulted_observed`] for what gets recorded). Byte-identical
-/// to [`replay`] whether `obs` records or not.
-#[must_use]
-pub fn replay_observed(
-    topo: &Topology,
-    flows: &[FlowSpec],
-    options: SimOptions,
-    obs: &Obs,
-) -> ReplayReport {
-    let mut source = StaticSource::new(flows.to_vec());
-    replay_source_observed(topo, &mut source, options, obs)
-}
-
-/// Replays a reactive traffic source on a topology (closed loop): the
-/// source is asked for its initial flows and called back on every
-/// completion, so it can release dependent flows at simulated — not
-/// captured — times.
-pub fn replay_source(
-    topo: &Topology,
-    source: &mut dyn TrafficSource,
-    options: SimOptions,
-) -> ReplayReport {
-    replay_source_observed(topo, source, options, &Obs::disabled())
-}
-
-/// [`replay_source`] with an observability handle.
+/// Fault-free [`replay_source_faulted_observed`]: byte-identical to it
+/// with an empty [`FaultSpec`], and infallible.
 pub fn replay_source_observed(
     topo: &Topology,
     source: &mut dyn TrafficSource,
     options: SimOptions,
     obs: &Obs,
 ) -> ReplayReport {
-    split_report(simulate_faulted_observed(
-        topo,
-        source,
-        &FaultSchedule::empty(),
-        options,
-        obs,
-    ))
+    let schedule = FaultSchedule::empty();
+    split_report(simulate(topo, source, &schedule, options, obs))
 }
 
-/// Convenience: closed-loop replay of a capture trace, with dependency
-/// edges inferred by [`TraceSource`].
-///
-/// # Errors
-///
-/// As [`TraceSource::new`].
-pub fn replay_trace_closed(
-    trace: &Trace,
-    topo: &Topology,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let mut source = TraceSource::new(trace, topo)?;
-    Ok(replay_source(topo, &mut source, options))
-}
-
-/// Convenience: closed-loop replay of jobs generated from a model, with
-/// dependent stages sampled on release by [`ModelSource`].
-///
-/// # Errors
-///
-/// As [`ModelSource::new`].
-#[allow(clippy::too_many_arguments)]
-pub fn replay_model_closed(
-    model: &KeddahModel,
-    topo: &Topology,
-    n_jobs: u32,
-    seed: u64,
-    stagger_secs: f64,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let mut source = ModelSource::new(model, n_jobs, seed, stagger_secs, topo)?;
-    Ok(replay_source(topo, &mut source, options))
-}
-
-/// Convenience: replay a capture trace end to end.
-///
-/// # Errors
-///
-/// As [`trace_to_flows`].
-pub fn replay_trace(trace: &Trace, topo: &Topology, options: SimOptions) -> Result<ReplayReport> {
-    let flows = trace_to_flows(trace, topo)?;
-    Ok(replay(topo, &flows, options))
-}
-
-/// Open-loop replay under a fault schedule: flows start at their
-/// pre-computed times, and the schedule's faults fire as DES events that
-/// abort or re-route them. An empty spec is byte-identical to [`replay`].
+/// Replays a traffic source on a topology under a fault schedule and
+/// splits completions by component — the one replay routine. The source
+/// is asked for its initial flows and called back on every completion
+/// (so a closed-loop source can release dependent flows at simulated,
+/// not captured, times) and on every flow a fault kills
+/// ([`TrafficSource::on_flow_aborted`]). `obs` records the run (see
+/// [`simulate`] for what gets recorded) without changing it.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Fault`] if the spec references hosts or links
 /// outside the topology.
-pub fn replay_faulted(
-    topo: &Topology,
-    flows: &[FlowSpec],
-    spec: &FaultSpec,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    replay_faulted_observed(topo, flows, spec, options, &Obs::disabled())
-}
-
-/// [`replay_faulted`] with an observability handle.
-///
-/// # Errors
-///
-/// As [`replay_faulted`].
-pub fn replay_faulted_observed(
-    topo: &Topology,
-    flows: &[FlowSpec],
-    spec: &FaultSpec,
-    options: SimOptions,
-    obs: &Obs,
-) -> Result<ReplayReport> {
-    let mut source = StaticSource::new(flows.to_vec());
-    replay_source_faulted_observed(topo, &mut source, spec, options, obs)
-}
-
-/// Closed-loop replay of a reactive source under a fault schedule. The
-/// source additionally hears [`TrafficSource::on_flow_aborted`] for every
-/// flow a fault kills.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Fault`] if the spec references hosts or links
-/// outside the topology.
-pub fn replay_source_faulted(
-    topo: &Topology,
-    source: &mut dyn TrafficSource,
-    spec: &FaultSpec,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    replay_source_faulted_observed(topo, source, spec, options, &Obs::disabled())
-}
-
-/// [`replay_source_faulted`] with an observability handle. Every replay
-/// discipline funnels through this function, so enabling observability
-/// can never fork the arithmetic path.
-///
-/// # Errors
-///
-/// As [`replay_source_faulted`].
 pub fn replay_source_faulted_observed(
     topo: &Topology,
     source: &mut dyn TrafficSource,
@@ -337,78 +214,19 @@ pub fn replay_source_faulted_observed(
     obs: &Obs,
 ) -> Result<ReplayReport> {
     let schedule = compile_spec(spec, topo)?;
-    Ok(split_report(simulate_faulted_observed(
+    Ok(split_report(simulate(
         topo, source, &schedule, options, obs,
     )))
-}
-
-/// Faulted variant of [`replay_trace`] (open loop).
-///
-/// # Errors
-///
-/// As [`trace_to_flows`] and [`replay_faulted`].
-pub fn replay_trace_faulted(
-    trace: &Trace,
-    topo: &Topology,
-    spec: &FaultSpec,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let flows = trace_to_flows(trace, topo)?;
-    replay_faulted(topo, &flows, spec, options)
-}
-
-/// Faulted variant of [`replay_trace_closed`].
-///
-/// # Errors
-///
-/// As [`TraceSource::new`] and [`replay_source_faulted`].
-pub fn replay_trace_closed_faulted(
-    trace: &Trace,
-    topo: &Topology,
-    spec: &FaultSpec,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let mut source = TraceSource::new(trace, topo)?;
-    replay_source_faulted(topo, &mut source, spec, options)
-}
-
-/// Faulted variant of [`replay_model_closed`].
-///
-/// # Errors
-///
-/// As [`ModelSource::new`] and [`replay_source_faulted`].
-#[allow(clippy::too_many_arguments)]
-pub fn replay_model_closed_faulted(
-    model: &KeddahModel,
-    topo: &Topology,
-    n_jobs: u32,
-    seed: u64,
-    stagger_secs: f64,
-    spec: &FaultSpec,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let mut source = ModelSource::new(model, n_jobs, seed, stagger_secs, topo)?;
-    replay_source_faulted(topo, &mut source, spec, options)
-}
-
-/// Convenience: replay generated jobs end to end.
-///
-/// # Errors
-///
-/// As [`jobs_to_flows`].
-pub fn replay_jobs(
-    jobs: &[GeneratedJob],
-    topo: &Topology,
-    options: SimOptions,
-) -> Result<ReplayReport> {
-    let flows = jobs_to_flows(jobs, topo)?;
-    Ok(replay(topo, &flows, options))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::GenFlow;
+    use crate::pipeline::Keddah;
+    use crate::source::{ModelSource, TraceSource};
+    use keddah_hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
+    use keddah_netsim::StaticSource;
 
     fn job() -> GeneratedJob {
         GeneratedJob {
@@ -433,10 +251,17 @@ mod tests {
         }
     }
 
+    /// Open-loop replay of a fixed flow list under `spec`.
+    fn replay(topo: &Topology, flows: Vec<FlowSpec>, spec: &FaultSpec) -> Result<ReplayReport> {
+        let (mut source, opts) = (StaticSource::new(flows), SimOptions::default());
+        replay_source_faulted_observed(topo, &mut source, spec, opts, &Obs::disabled())
+    }
+
     #[test]
     fn generated_jobs_replay() {
         let topo = Topology::star(5, 1e9);
-        let report = replay_jobs(&[job()], &topo, SimOptions::default()).unwrap();
+        let flows = jobs_to_flows(&[job()], &topo).unwrap();
+        let report = replay(&topo, flows, &FaultSpec::empty()).unwrap();
         assert_eq!(report.sim.results.len(), 2);
         assert_eq!(report.fct_by_component[&Component::Shuffle].len(), 1);
         assert_eq!(report.fct_by_component[&Component::Control].len(), 1);
@@ -446,7 +271,7 @@ mod tests {
     #[test]
     fn small_topology_rejected() {
         let topo = Topology::star(2, 1e9);
-        let err = replay_jobs(&[job()], &topo, SimOptions::default()).unwrap_err();
+        let err = jobs_to_flows(&[job()], &topo).unwrap_err();
         assert!(matches!(err, CoreError::TopologyTooSmall { .. }));
         assert!(err.to_string().contains("host"));
     }
@@ -459,15 +284,54 @@ mod tests {
     }
 
     #[test]
+    fn unknown_tags_replay_as_other() {
+        let topo = Topology::star(3, 1e9);
+        let flow = FlowSpec {
+            src: HostId(0),
+            dst: HostId(1),
+            bytes: 1 << 20,
+            start: SimTime::ZERO,
+            tag: 99,
+        };
+        let report = replay(&topo, vec![flow], &FaultSpec::empty()).unwrap();
+        assert_eq!(report.fct_by_component.len(), 1);
+        assert_eq!(report.fct_by_component[&Component::Other].len(), 1);
+    }
+
+    #[test]
     fn empty_fault_spec_matches_plain_replay() {
-        let topo = Topology::star(5, 1e9);
-        let flows = jobs_to_flows(&[job()], &topo).unwrap();
-        let plain = replay(&topo, &flows, SimOptions::default());
-        let faulted = replay_faulted(&topo, &flows, &FaultSpec::empty(), SimOptions::default())
-            .expect("empty spec is always valid");
-        assert_eq!(plain.fct_by_component, faulted.fct_by_component);
-        assert_eq!(plain.sim.makespan(), faulted.sim.makespan());
-        assert!(faulted.sim.faults.aborted.is_empty());
+        let topo = Topology::star(8, 1e9);
+        let traces = Keddah::capture(
+            &ClusterSpec::racks(2, 3),
+            &HadoopConfig::default().with_reducers(4),
+            &JobSpec::new(Workload::TeraSort, 512 << 20),
+            2,
+            5,
+        );
+        let model = Keddah::fit(&traces).expect("model fits");
+        // Every source kind the CLI builds: open-loop trace and jobs,
+        // closed-loop trace and model.
+        let trace_flows = trace_to_flows(&traces[0], &topo).unwrap();
+        let job_flows = jobs_to_flows(&[job()], &topo).unwrap();
+        let sources: [&dyn Fn() -> Box<dyn TrafficSource>; 4] = [
+            &|| Box::new(StaticSource::new(trace_flows.clone())),
+            &|| Box::new(StaticSource::new(job_flows.clone())),
+            &|| Box::new(TraceSource::new(&traces[0], &topo).unwrap()),
+            &|| Box::new(ModelSource::new(&model, 2, 3, 5.0, &topo).unwrap()),
+        ];
+        for make in sources {
+            let (plain_obs, faulted_obs) = (Obs::enabled(), Obs::enabled());
+            let (opts, empty) = (SimOptions::default(), FaultSpec::empty());
+            let plain = replay_source_observed(&topo, &mut *make(), opts, &plain_obs);
+            let faulted =
+                replay_source_faulted_observed(&topo, &mut *make(), &empty, opts, &faulted_obs)
+                    .expect("empty spec is always valid");
+            assert!(!plain.sim.results.is_empty());
+            assert_eq!(plain.fct_by_component, faulted.fct_by_component);
+            assert_eq!(plain.sim.makespan(), faulted.sim.makespan());
+            assert_eq!(plain_obs.metrics(), faulted_obs.metrics());
+            assert!(faulted.sim.faults.aborted.is_empty());
+        }
     }
 
     #[test]
@@ -483,7 +347,7 @@ mod tests {
                 kind: FaultKind::NodeCrash { node: 2 },
             }],
         };
-        let report = replay_faulted(&topo, &flows, &spec, SimOptions::default()).unwrap();
+        let report = replay(&topo, flows, &spec).unwrap();
         assert_eq!(report.sim.faults.aborted.len(), 1);
         assert!(!report.fct_by_component.contains_key(&Component::Shuffle));
         assert_eq!(report.fct_by_component[&Component::Control].len(), 1);
@@ -499,14 +363,13 @@ mod tests {
                 kind: FaultKind::NodeCrash { node: 99 },
             }],
         };
-        let err = replay_faulted(&topo, &[], &spec, SimOptions::default()).unwrap_err();
+        let err = replay(&topo, Vec::new(), &spec).unwrap_err();
         assert!(matches!(err, CoreError::Fault(_)));
         assert!(err.to_string().contains("fault schedule"));
     }
 
     #[test]
     fn trace_replay_shifts_to_zero() {
-        use keddah_des::SimTime;
         use keddah_flowcap::{FiveTuple, FlowRecord, NodeId, TraceMeta};
         let flows = vec![FlowRecord {
             tuple: FiveTuple {
@@ -526,7 +389,7 @@ mod tests {
         let topo = Topology::star(3, 1e9);
         let specs = trace_to_flows(&trace, &topo).unwrap();
         assert_eq!(specs[0].start, SimTime::ZERO);
-        let report = replay(&topo, &specs, SimOptions::default());
+        let report = replay(&topo, specs, &FaultSpec::empty()).unwrap();
         assert_eq!(report.fct_by_component[&Component::Shuffle].len(), 1);
     }
 }

@@ -37,7 +37,7 @@ use std::sync::{mpsc, Mutex};
 use std::thread;
 
 use keddah_flowcap::{Component, FlowRecord};
-use keddah_hadoop::{run_repeats_seeded, ClusterSpec, HadoopConfig, JobRun, JobSpec, Workload};
+use keddah_hadoop::{run_job, ClusterSpec, HadoopConfig, JobRun, JobSpec, Workload};
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
@@ -193,7 +193,7 @@ pub struct ComponentTotals {
 /// numbers the figures and tables consume. Traces themselves are not
 /// retained — a full matrix would hold gigabytes of flow records;
 /// experiments that need raw flows capture them directly via
-/// [`keddah_hadoop::run_repeats_seeded`].
+/// [`keddah_hadoop::run_job`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSummary {
     /// The seed this run executed under.
@@ -582,7 +582,10 @@ impl Runner {
         cluster.validate().expect("invalid cell cluster override");
         let seeds = cell.seeds();
         let job = JobSpec::new(cell.workload, cell.input_bytes);
-        let runs = run_repeats_seeded(cluster, &cell.config, &job, &seeds);
+        let runs: Vec<JobRun> = seeds
+            .iter()
+            .map(|&seed| run_job(cluster, &cell.config, &job, seed))
+            .collect();
         let summaries: Vec<RunSummary> = runs
             .iter()
             .zip(&seeds)

@@ -1,12 +1,13 @@
 //! Closed-loop traffic sources: replaying Hadoop traffic with its causal
 //! structure intact.
 //!
-//! Open-loop replay ([`crate::replay::replay`]) feeds the simulator a flat
-//! flow list with pre-computed start times, so congestion stretches flow
-//! completion times but can never *delay dependent traffic* — a shuffle
-//! fetch starts at its captured time even if the map's input read is still
-//! crawling through an oversubscribed fabric. That overstates pipelining
-//! and understates how congestion compounds through a job.
+//! Open-loop replay (a [`keddah_netsim::StaticSource`]) feeds the
+//! simulator a flat flow list with pre-computed start times, so
+//! congestion stretches flow completion times but can never *delay
+//! dependent traffic* — a shuffle fetch starts at its captured time even
+//! if the map's input read is still crawling through an oversubscribed
+//! fabric. That overstates pipelining and understates how congestion
+//! compounds through a job.
 //!
 //! The sources here implement [`keddah_netsim::TrafficSource`], releasing
 //! dependent flows only when their parents complete *in the simulation*:

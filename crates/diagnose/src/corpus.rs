@@ -15,10 +15,10 @@ use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use keddah_core::replay::{replay_faulted_observed, replay_observed, trace_to_flows};
+use keddah_core::replay::{replay_source_faulted_observed, replay_source_observed, trace_to_flows};
 use keddah_faults::{generate, FaultClass, FaultGen, FaultKind, FaultSpec};
 use keddah_hadoop::{run_job_faulted, ClusterSpec, HadoopConfig, JobSpec, Workload};
-use keddah_netsim::{SimOptions, Topology};
+use keddah_netsim::{SimOptions, StaticSource, Topology};
 use keddah_obs::Obs;
 use serde::{Deserialize, Serialize};
 
@@ -310,7 +310,8 @@ fn draw_replay_scenario(
             break;
         }
         let obs = Obs::enabled();
-        let report = replay_faulted_observed(topo, flows, &spec, options, &obs)
+        let mut source = StaticSource::new(flows.to_vec());
+        let report = replay_source_faulted_observed(topo, &mut source, &spec, options, &obs)
             .map_err(|e| DiagnoseError::Invalid(e.to_string()))?;
         if impact(&report) {
             return Ok((spec, report, obs));
@@ -350,7 +351,11 @@ pub fn build_cell(spec: &CellSpec) -> Result<Cell> {
     let baseline_flows = trace_to_flows(&baseline_run.trace, &topo).map_err(|e| invalid(&e))?;
 
     let baseline_obs = Obs::enabled();
-    let baseline_replay = replay_observed(&topo, &baseline_flows, options, &baseline_obs);
+    let replay_baseline = |obs: &Obs| {
+        let mut source = StaticSource::new(baseline_flows.clone());
+        replay_source_observed(&topo, &mut source, options, obs)
+    };
+    let baseline_replay = replay_baseline(&baseline_obs);
     baseline_run.counters.record_obs(&baseline_obs);
 
     // Node faults act at capture time (the capture side has no network)
@@ -360,7 +365,7 @@ pub fn build_cell(spec: &CellSpec) -> Result<Cell> {
     let (fault_spec, degraded_replay, degraded_obs) = match spec.class {
         FaultClass::None => {
             let obs = Obs::enabled();
-            let replay = replay_observed(&topo, &baseline_flows, options, &obs);
+            let replay = replay_baseline(&obs);
             baseline_run.counters.record_obs(&obs);
             (FaultSpec::empty(), replay, obs)
         }
@@ -369,8 +374,10 @@ pub fn build_cell(spec: &CellSpec) -> Result<Cell> {
             let degraded_run = run_job_faulted(&cluster, &config, &job, capture_seed, &fault_spec);
             let flows = trace_to_flows(&degraded_run.trace, &topo).map_err(|e| invalid(&e))?;
             let obs = Obs::enabled();
-            let replay = replay_faulted_observed(&topo, &flows, &fault_spec, options, &obs)
-                .map_err(|e| invalid(&e))?;
+            let mut source = StaticSource::new(flows);
+            let replay =
+                replay_source_faulted_observed(&topo, &mut source, &fault_spec, options, &obs)
+                    .map_err(|e| invalid(&e))?;
             degraded_run.counters.record_obs(&obs);
             (fault_spec, replay, obs)
         }

@@ -5,9 +5,9 @@
 //! returns a [`JobRun`] holding the labelled [`Trace`] — the artefact the
 //! Keddah modelling step consumes.
 
-use keddah_des::Duration;
+use keddah_des::{Duration, SimTime};
 use keddah_faults::FaultSpec;
-use keddah_flowcap::{FlowAssembler, Trace, TraceMeta};
+use keddah_flowcap::{FlowAssembler, PacketRecord, Trace, TraceMeta};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,7 +16,7 @@ use crate::config::HadoopConfig;
 use crate::dag::JobDag;
 use crate::net::NetModel;
 pub use crate::sim::StageStats;
-use crate::sim::{node_faults, simulate_dag_at_faulted, simulate_job_at_faulted, JobCounters};
+use crate::sim::{node_faults, simulate_dag_at_faulted, JobCounters};
 use crate::workload::JobSpec;
 
 /// The result of one simulated job execution.
@@ -72,7 +72,7 @@ pub fn run_job_with_packets(
     config: &HadoopConfig,
     job: &JobSpec,
     seed: u64,
-) -> (JobRun, Vec<keddah_flowcap::PacketRecord>) {
+) -> (JobRun, Vec<PacketRecord>) {
     run_job_with_packets_faulted(cluster, config, job, seed, &FaultSpec::empty())
 }
 
@@ -113,51 +113,15 @@ pub fn run_job_with_packets_faulted(
     job: &JobSpec,
     seed: u64,
     faults: &FaultSpec,
-) -> (JobRun, Vec<keddah_flowcap::PacketRecord>) {
-    cluster.validate().expect("invalid cluster spec");
-    config.validate().expect("invalid hadoop config");
-    let timeline = node_faults(faults, cluster.worker_count());
-    let mut net = NetModel::new(cluster.nic_bps);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counters = JobCounters::default();
-    let (end, _output) = simulate_job_at_faulted(
-        cluster,
-        config,
-        job,
-        &mut net,
-        &mut rng,
-        &mut counters,
-        keddah_des::SimTime::ZERO,
-        None,
-        &timeline,
-    );
-    let packets = net.take_packets();
-
-    let mut assembler = FlowAssembler::new();
-    assembler.extend(packets.iter().copied());
-    let flows = assembler.finish();
-    let meta = TraceMeta {
-        workload: job.workload.name().to_string(),
-        input_bytes: job.input_bytes,
-        reducers: config.reducers,
-        replication: config.replication,
-        block_bytes: config.block_bytes,
-        nodes: cluster.worker_count(),
-        seed,
-        // Faulted captures embed their ground-truth counters; clean
-        // captures keep the historical (counter-free) byte layout.
-        counters: (!faults.is_empty()).then(|| counters.to_map()),
+) -> (JobRun, Vec<PacketRecord>) {
+    let jobs = [(job.workload.dag(), job.input_bytes)];
+    let (session, _, packets) = capture(cluster, config, &jobs, seed, faults);
+    let run = JobRun {
+        trace: session.trace,
+        duration: session.job_ends[0],
+        counters: session.counters[0],
     };
-    let mut trace = Trace::new(meta, flows);
-    trace.classify();
-    (
-        JobRun {
-            trace,
-            duration: end.saturating_since(keddah_des::SimTime::ZERO),
-            counters,
-        },
-        packets,
-    )
+    (run, packets)
 }
 
 /// The result of one simulated DAG execution.
@@ -191,63 +155,13 @@ pub fn run_dag(
     input_bytes: u64,
     seed: u64,
 ) -> DagRun {
-    run_dag_faulted(cluster, config, dag, input_bytes, seed, &FaultSpec::empty())
-}
-
-/// [`run_dag`] under a fault schedule (the DAG sibling of
-/// [`run_job_faulted`]).
-///
-/// # Panics
-///
-/// As [`run_dag`].
-#[must_use]
-pub fn run_dag_faulted(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    dag: &JobDag,
-    input_bytes: u64,
-    seed: u64,
-    faults: &FaultSpec,
-) -> DagRun {
-    cluster.validate().expect("invalid cluster spec");
-    config.validate().expect("invalid hadoop config");
-    dag.validate().expect("invalid job dag");
-    let timeline = node_faults(faults, cluster.worker_count());
-    let mut net = NetModel::new(cluster.nic_bps);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counters = JobCounters::default();
-    let outcome = simulate_dag_at_faulted(
-        cluster,
-        config,
-        dag,
-        input_bytes,
-        &mut net,
-        &mut rng,
-        &mut counters,
-        keddah_des::SimTime::ZERO,
-        None,
-        &timeline,
-    );
-    let mut assembler = FlowAssembler::new();
-    assembler.extend(net.take_packets());
-    let flows = assembler.finish();
-    let meta = TraceMeta {
-        workload: dag.name.clone(),
-        input_bytes,
-        reducers: config.reducers,
-        replication: config.replication,
-        block_bytes: config.block_bytes,
-        nodes: cluster.worker_count(),
-        seed,
-        counters: (!faults.is_empty()).then(|| counters.to_map()),
-    };
-    let mut trace = Trace::new(meta, flows);
-    trace.classify();
+    let (jobs, empty) = ([(dag.clone(), input_bytes)], FaultSpec::empty());
+    let (session, stages, _) = capture(cluster, config, &jobs, seed, &empty);
     DagRun {
-        trace,
-        duration: outcome.end.saturating_since(keddah_des::SimTime::ZERO),
-        counters,
-        stages: outcome.stages,
+        trace: session.trace,
+        duration: session.job_ends[0],
+        counters: session.counters[0],
+        stages,
     }
 }
 
@@ -300,91 +214,91 @@ pub fn run_session(
     seed: u64,
 ) -> SessionRun {
     assert!(!jobs.is_empty(), "session needs at least one job");
+    let chain: Vec<_> = jobs
+        .iter()
+        .map(|j| (j.workload.dag(), j.input_bytes))
+        .collect();
+    capture(cluster, config, &chain, seed, &FaultSpec::empty()).0
+}
+
+/// The one capture routine behind every `run_*` entry point: validates
+/// the inputs, runs the `(dag, input_bytes)` jobs back to back on one
+/// cluster under `faults`, and assembles and classifies the packet tap
+/// into one trace. Each job after the first starts 2 s after its
+/// predecessor ends and consumes the predecessor's HDFS output when it
+/// produced one. Returns the session, every job's stage summaries (in
+/// order) and the time-ordered packets.
+///
+/// Faulted captures (always single jobs: sessions run fault-free) embed
+/// their ground-truth counters in the trace metadata; clean captures keep
+/// the historical (counter-free) byte layout.
+fn capture(
+    cluster: &ClusterSpec,
+    config: &HadoopConfig,
+    jobs: &[(JobDag, u64)],
+    seed: u64,
+    faults: &FaultSpec,
+) -> (SessionRun, Vec<StageStats>, Vec<PacketRecord>) {
     cluster.validate().expect("invalid cluster spec");
     config.validate().expect("invalid hadoop config");
+    for (dag, _) in jobs {
+        dag.validate().expect("invalid job dag");
+    }
+    let timeline = node_faults(faults, cluster.worker_count());
     let mut net = NetModel::new(cluster.nic_bps);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut job_ends = Vec::with_capacity(jobs.len());
     let mut all_counters = Vec::with_capacity(jobs.len());
-    let mut start = keddah_des::SimTime::ZERO;
+    let mut stages = Vec::new();
+    let mut start = SimTime::ZERO;
     let mut chained: Option<Vec<crate::hdfs::Block>> = None;
-    for job in jobs {
+    for (dag, input_bytes) in jobs {
         let mut counters = JobCounters::default();
-        let (end, output) = crate::sim::simulate_job_at(
+        let outcome = simulate_dag_at_faulted(
             cluster,
             config,
-            job,
+            dag,
+            *input_bytes,
             &mut net,
             &mut rng,
             &mut counters,
             start,
             chained.take(),
+            &timeline,
         );
-        job_ends.push(end.saturating_since(keddah_des::SimTime::ZERO));
+        job_ends.push(outcome.end.saturating_since(SimTime::ZERO));
         all_counters.push(counters);
-        chained = (!output.is_empty()).then_some(output);
-        start = end + keddah_des::Duration::from_secs(2);
+        stages.extend(outcome.stages);
+        chained = (!outcome.last_output.is_empty()).then_some(outcome.last_output);
+        start = outcome.end + Duration::from_secs(2);
     }
+    let packets = net.take_packets();
 
     let mut assembler = FlowAssembler::new();
-    assembler.extend(net.take_packets());
+    assembler.extend(packets.iter().copied());
     let flows = assembler.finish();
     let meta = TraceMeta {
         workload: jobs
             .iter()
-            .map(|j| j.workload.name())
+            .map(|(dag, _)| dag.name.as_str())
             .collect::<Vec<_>>()
             .join("+"),
-        input_bytes: jobs[0].input_bytes,
+        input_bytes: jobs[0].1,
         reducers: config.reducers,
         replication: config.replication,
         block_bytes: config.block_bytes,
         nodes: cluster.worker_count(),
         seed,
-        counters: None,
+        counters: (!faults.is_empty()).then(|| all_counters[0].to_map()),
     };
     let mut trace = Trace::new(meta, flows);
     trace.classify();
-    SessionRun {
+    let session = SessionRun {
         trace,
         job_ends,
         counters: all_counters,
-    }
-}
-
-/// Runs the same job `repeats` times with seeds `seed_base..seed_base +
-/// repeats`, as the paper repeats each configuration to gather enough
-/// flows per component.
-#[must_use]
-pub fn run_repeats(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    seed_base: u64,
-    repeats: u32,
-) -> Vec<JobRun> {
-    let seeds: Vec<u64> = (0..repeats).map(|i| seed_base + u64::from(i)).collect();
-    run_repeats_seeded(cluster, config, job, &seeds)
-}
-
-/// Runs the same job once per seed in `seeds`, in order.
-///
-/// The seed-stream form of [`run_repeats`]: callers that derive their
-/// seeds (e.g. the experiment runner's per-cell splitmix64 streams)
-/// control exactly which runs are produced, and the output is a pure
-/// function of `(cluster, config, job, seeds)` — independent of who
-/// calls it or in what larger context.
-#[must_use]
-pub fn run_repeats_seeded(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    seeds: &[u64],
-) -> Vec<JobRun> {
-    seeds
-        .iter()
-        .map(|&seed| run_job(cluster, config, job, seed))
-        .collect()
+    };
+    (session, stages, packets)
 }
 
 #[cfg(test)]
@@ -437,39 +351,6 @@ mod tests {
             .map(|f| f.rev_bytes)
             .sum();
         assert_eq!(read_captured, run.counters.hdfs_read_bytes);
-    }
-
-    #[test]
-    fn repeats_vary_by_seed() {
-        let runs = run_repeats(
-            &ClusterSpec::racks(2, 2),
-            &HadoopConfig::default().with_reducers(4),
-            &JobSpec::new(Workload::Grep, 256 << 20),
-            100,
-            3,
-        );
-        assert_eq!(runs.len(), 3);
-        assert_ne!(runs[0].duration, runs[1].duration);
-        assert_eq!(runs[0].trace.meta().seed, 100);
-        assert_eq!(runs[2].trace.meta().seed, 102);
-    }
-
-    #[test]
-    fn seeded_repeats_match_contiguous_repeats() {
-        let cluster = ClusterSpec::racks(2, 2);
-        let config = HadoopConfig::default().with_reducers(2);
-        let job = JobSpec::new(Workload::WordCount, 256 << 20);
-        let contiguous = run_repeats(&cluster, &config, &job, 50, 2);
-        let seeded = run_repeats_seeded(&cluster, &config, &job, &[50, 51]);
-        assert_eq!(contiguous.len(), seeded.len());
-        for (a, b) in contiguous.iter().zip(&seeded) {
-            assert_eq!(a.trace, b.trace);
-            assert_eq!(a.duration, b.duration);
-        }
-        // Arbitrary (non-contiguous) seed streams work too.
-        let sparse = run_repeats_seeded(&cluster, &config, &job, &[51, 7]);
-        assert_eq!(sparse[0].trace, seeded[1].trace);
-        assert_eq!(sparse[1].trace.meta().seed, 7);
     }
 
     #[test]
@@ -565,5 +446,6 @@ mod tests {
         assert_eq!(meta.replication, 2);
         assert_eq!(meta.block_bytes, 64 << 20);
         assert_eq!(meta.nodes, 6);
+        assert_eq!(meta.seed, 3);
     }
 }

@@ -40,7 +40,6 @@ use crate::config::HadoopConfig;
 use crate::dag::{EdgeSource, JobDag, StageSpec, TransferKind};
 use crate::hdfs::{Block, Hdfs};
 use crate::net::{NetModel, Payload};
-use crate::workload::JobSpec;
 
 /// Delay between job submission and the ApplicationMaster becoming ready.
 const AM_STARTUP: Duration = Duration::from_secs(2);
@@ -1332,97 +1331,6 @@ impl<'a> StageSim<'a> {
     }
 }
 
-/// Simulates the full job: submission, AM startup, all MapReduce rounds,
-/// and control-plane traffic. Returns the job end time.
-///
-/// The caller provides the shared [`NetModel`] tap; the packets it
-/// accumulates are the capture.
-#[cfg(test)]
-pub(crate) fn simulate_job(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    net: &mut NetModel,
-    rng: &mut StdRng,
-    counters: &mut JobCounters,
-) -> SimTime {
-    simulate_job_at(
-        cluster,
-        config,
-        job,
-        net,
-        rng,
-        counters,
-        SimTime::ZERO,
-        None,
-    )
-    .0
-}
-
-/// [`simulate_job`] generalized for chained sessions: the job starts at
-/// `start`, optionally consumes pre-existing `input_blocks` (a previous
-/// job's output) instead of placing fresh input, and returns its final
-/// output blocks alongside the end time.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_job_at(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    net: &mut NetModel,
-    rng: &mut StdRng,
-    counters: &mut JobCounters,
-    start: SimTime,
-    input_blocks: Option<Vec<Block>>,
-) -> (SimTime, Vec<Block>) {
-    simulate_job_at_faulted(
-        cluster,
-        config,
-        job,
-        net,
-        rng,
-        counters,
-        start,
-        input_blocks,
-        &[],
-    )
-}
-
-/// [`simulate_job_at`] under a node-fault timeline: crashes and
-/// recoveries fire as DES events inside the stages (killing attempts,
-/// invalidating map output, restarting reducers), and every crash that
-/// costs a stored block a replica triggers NameNode-commanded
-/// re-replication traffic after the heartbeat-expiry delay.
-///
-/// An empty `faults` slice takes exactly the clean path — same RNG
-/// draws, same events, byte-identical capture.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_job_at_faulted(
-    cluster: &ClusterSpec,
-    config: &HadoopConfig,
-    job: &JobSpec,
-    net: &mut NetModel,
-    rng: &mut StdRng,
-    counters: &mut JobCounters,
-    start: SimTime,
-    input_blocks: Option<Vec<Block>>,
-    faults: &[NodeFault],
-) -> (SimTime, Vec<Block>) {
-    let dag = job.workload.dag();
-    let outcome = simulate_dag_at_faulted(
-        cluster,
-        config,
-        &dag,
-        job.input_bytes,
-        net,
-        rng,
-        counters,
-        start,
-        input_blocks,
-        faults,
-    );
-    (outcome.end, outcome.last_output)
-}
-
 /// Per-stage execution summary, derived from counter deltas around each
 /// stage's run — the DAG-level ground truth `keddah dag show` and the
 /// driver expose.
@@ -1734,8 +1642,33 @@ fn emit_periodic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Workload;
+    use crate::workload::{JobSpec, Workload};
     use rand::SeedableRng;
+
+    /// Runs `job`'s DAG fault-free from time zero into the caller's
+    /// [`NetModel`] tap; returns the job end time.
+    fn simulate_job(
+        cluster: &ClusterSpec,
+        config: &HadoopConfig,
+        job: &JobSpec,
+        net: &mut NetModel,
+        rng: &mut StdRng,
+        counters: &mut JobCounters,
+    ) -> SimTime {
+        simulate_dag_at_faulted(
+            cluster,
+            config,
+            &job.workload.dag(),
+            job.input_bytes,
+            net,
+            rng,
+            counters,
+            SimTime::ZERO,
+            None,
+            &[],
+        )
+        .end
+    }
 
     fn run(job: JobSpec, seed: u64) -> (SimTime, JobCounters, NetModel) {
         let cluster = ClusterSpec::racks(2, 4);
@@ -1967,17 +1900,19 @@ mod tests {
         let mut net = NetModel::new(cluster.nic_bps);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut counters = JobCounters::default();
-        let (end, _) = simulate_job_at_faulted(
+        let end = simulate_dag_at_faulted(
             &cluster,
             &config,
-            &job,
+            &job.workload.dag(),
+            job.input_bytes,
             &mut net,
             &mut rng,
             &mut counters,
             SimTime::ZERO,
             None,
             &timeline,
-        );
+        )
+        .end;
         (end, counters, net)
     }
 

@@ -69,8 +69,8 @@
 //! Components are link-disjoint, so their solves share no state; results
 //! are merged in ascending component index. By the equivalence argument
 //! above the rates are bit-identical at any thread count — the
-//! determinism suite pins solver width (and the `KEDDAH_SEQ_SOLVE`
-//! oracle) as a no-op on replay output.
+//! determinism suite pins solver width (including the sequential
+//! `solver_jobs: 1` oracle) as a no-op on replay output.
 //!
 //! [`insert_flow`]: FairShareState::insert_flow
 //! [`insert_weighted`]: FairShareState::insert_weighted

@@ -10,22 +10,26 @@
 //!   fat-tree fabrics, with ECMP shortest-path routing;
 //! * [`fair`] — max-min fair bandwidth sharing by progressive filling,
 //!   the standard fluid abstraction of long-lived TCP;
-//! * [`simulate`] / [`simulate_source`] — the event loop (built on the
-//!   shared [`keddah_des::Engine`]): flows arrive, share links, complete;
-//!   completions and per-link byte counts come back in a [`SimReport`];
-//! * [`TrafficSource`] — reactive traffic: sources are told when each
-//!   flow completes and may inject dependent flows, enabling closed-loop
-//!   replay where congestion delays dependent traffic;
-//! * [`simulate_faulted`] — the same loop under a `keddah-faults`
-//!   schedule: node crashes, link failures/degradations and partitions
-//!   fire as DES events that abort or re-route flows ([`FaultStats`]
-//!   accounts for every lost byte).
+//! * [`simulate`] — the one event loop (built on the shared
+//!   [`keddah_des::Engine`]): flows arrive, share links, complete;
+//!   completions and per-link byte counts come back in a [`SimReport`].
+//!   It runs under a `keddah-faults` schedule (empty for a fault-free
+//!   run): node crashes, link failures/degradations and partitions fire
+//!   as DES events that abort or re-route flows ([`FaultStats`] accounts
+//!   for every lost byte);
+//! * [`TrafficSource`] — what `simulate` replays: a [`StaticSource`]
+//!   injects a fixed flow list (open loop), while reactive sources are
+//!   told when each flow completes and may inject dependent flows,
+//!   enabling closed-loop replay where congestion delays dependent
+//!   traffic.
 //!
 //! # Examples
 //!
 //! ```
 //! use keddah_des::SimTime;
-//! use keddah_netsim::{simulate, FlowSpec, HostId, SimOptions, Topology};
+//! use keddah_faults::FaultSchedule;
+//! use keddah_netsim::{simulate, FlowSpec, HostId, SimOptions, StaticSource, Topology};
+//! use keddah_obs::Obs;
 //!
 //! let topo = Topology::leaf_spine(2, 4, 2, 1e9, 1.0);
 //! let flows: Vec<FlowSpec> = (0..4)
@@ -37,7 +41,8 @@
 //!         tag: i,
 //!     })
 //!     .collect();
-//! let report = simulate(&topo, &flows, SimOptions::default());
+//! let (mut source, schedule) = (StaticSource::new(flows), FaultSchedule::empty());
+//! let report = simulate(&topo, &mut source, &schedule, SimOptions::default(), &Obs::disabled());
 //! assert_eq!(report.results.len(), 4);
 //! ```
 
@@ -50,10 +55,7 @@ mod topology;
 
 pub use fair::{max_min_rates, FairFlowId, FairShareState};
 pub use routing::RouteCache;
-pub use sim::{
-    simulate, simulate_faulted, simulate_faulted_observed, simulate_source, FaultStats, FlowResult,
-    FlowSpec, SimOptions, SimReport,
-};
+pub use sim::{simulate, FaultStats, FlowResult, FlowSpec, SimOptions, SimReport};
 pub use source::{FlowId, StaticSource, TrafficSource};
 pub use tcp::{simulate_tcp, TcpOptions};
 pub use topology::{HostId, LinkId, Topology};

@@ -20,11 +20,11 @@
 //! thousands of flows, which is what removes the 100k-flow cliff.
 //!
 //! Service accounting is integer (Q64 fixed point, see [`Q_SCALE`]), so
-//! grouping flows into bundles — or not, via the `KEDDAH_NO_AGGREGATE`
-//! oracle knob on [`SimOptions::aggregate`] — never changes any flow's
-//! completion time: the golden-replay corpus and the determinism suite
-//! pin byte-identical reports across the aggregation, solver-parallelism
-//! and full-recompute knobs.
+//! grouping flows into bundles — or not, via the [`SimOptions::aggregate`]
+//! oracle field — never changes any flow's completion time: the
+//! golden-replay corpus and the determinism suite pin byte-identical
+//! reports across the aggregation, solver-parallelism and full-recompute
+//! fields.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fair::{FairFlowId, FairShareState};
 use crate::routing::RouteCache;
-use crate::source::{FlowId, StaticSource, TrafficSource};
+use crate::source::{FlowId, TrafficSource};
 use crate::topology::{HostId, Topology};
 
 /// A flow to inject: who talks to whom, how much, starting when.
@@ -95,25 +95,21 @@ pub struct SimOptions {
     /// progressive filling on every event (the pre-incremental engine's
     /// behaviour). Completion times are identical either way — this is
     /// the correctness oracle the determinism tests exercise and the
-    /// baseline the `flow_scaling` bench measures against. Defaults to
-    /// the `KEDDAH_FULL_RECOMPUTE` environment variable (set to anything
-    /// but `0`).
+    /// baseline the `flow_scaling` bench measures against. Off by
+    /// default.
     pub full_recompute: bool,
     /// Collapse same-path flows into weighted fluid bundles (the
     /// default). `false` gives every flow its own singleton bundle and
     /// fair-share entry — the pre-bundle engine's shape, kept as a
     /// correctness oracle and as the `flow_scaling` ablation baseline.
     /// Completion times are identical either way (integer service
-    /// accounting; see the module docs). Defaults to `true` unless the
-    /// `KEDDAH_NO_AGGREGATE` environment variable is set (to anything
-    /// but `0`).
+    /// accounting; see the module docs). On by default.
     pub aggregate: bool,
     /// Scoped threads dense fair-share refills may fan independent
     /// components out over. `0` (the default) auto-sizes from the host;
     /// rates — and hence replay output — are byte-identical at any
-    /// width. Setting the `KEDDAH_SEQ_SOLVE` environment variable (to
-    /// anything but `0`) forces sequential solves, the oracle the
-    /// determinism suite compares against.
+    /// width. `1` forces sequential solves, the oracle the determinism
+    /// suite compares against.
     pub solver_jobs: usize,
 }
 
@@ -124,13 +120,9 @@ impl Default for SimOptions {
             mouse_threshold: 0,
             local_bps: 10e9,
             tcp_slow_start: false,
-            full_recompute: std::env::var("KEDDAH_FULL_RECOMPUTE").is_ok_and(|v| v != "0"),
-            aggregate: !std::env::var("KEDDAH_NO_AGGREGATE").is_ok_and(|v| v != "0"),
-            solver_jobs: if std::env::var("KEDDAH_SEQ_SOLVE").is_ok_and(|v| v != "0") {
-                1
-            } else {
-                0
-            },
+            full_recompute: false,
+            aggregate: true,
+            solver_jobs: 0,
         }
     }
 }
@@ -173,7 +165,7 @@ pub struct FaultStats {
     pub rerouted_flows: u64,
     /// The fluid solver hit its iteration guard and drained the run by
     /// aborting everything still active (see the guard in
-    /// [`simulate_faulted`]) instead of panicking.
+    /// [`simulate`]) instead of panicking.
     pub diverged: bool,
 }
 
@@ -258,7 +250,7 @@ struct Bundle {
 /// per-event service increment `((rate * dt) * Q_SCALE) as u128` is the
 /// same integer however flows are grouped; integer addition then makes
 /// the cumulative curve associative. That grouping-invariance is what
-/// lets the `KEDDAH_NO_AGGREGATE` oracle reproduce bundled runs bit for
+/// lets the `aggregate: false` oracle reproduce bundled runs bit for
 /// bit.
 const Q_SCALE: f64 = 18_446_744_073_709_551_616.0; // 2^64
 
@@ -389,63 +381,16 @@ enum Ev {
     Fault { idx: usize },
 }
 
-/// Runs the fluid simulation of `flows` over `topo`.
+/// Runs the fluid simulation of `source` over `topo` under `schedule`,
+/// recording into `obs` — the simulator's one entry point (see the crate
+/// docs for an example).
 ///
-/// Flows are processed in start order; active flows share links by
-/// max-min fairness, recomputed at every arrival and departure. The
-/// result vector preserves input order.
-///
-/// This is the open-loop entry point: it wraps `flows` in a
-/// [`StaticSource`] and runs [`simulate_source`].
-///
-/// # Panics
-///
-/// Panics if a flow references a host outside the topology.
-///
-/// # Examples
-///
-/// ```
-/// use keddah_des::SimTime;
-/// use keddah_netsim::{simulate, FlowSpec, HostId, SimOptions, Topology};
-///
-/// let topo = Topology::star(4, 1e9);
-/// let flows = vec![FlowSpec {
-///     src: HostId(0),
-///     dst: HostId(1),
-///     bytes: 125_000_000, // 1 Gb
-///     start: SimTime::ZERO,
-///     tag: 0,
-/// }];
-/// let report = simulate(&topo, &flows, SimOptions::default());
-/// // Alone on a 1 Gb/s path: ~1 s.
-/// assert!((report.results[0].fct().as_secs_f64() - 1.0).abs() < 0.01);
-/// ```
-#[must_use]
-pub fn simulate(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> SimReport {
-    let mut source = StaticSource::new(flows.to_vec());
-    simulate_source(topo, &mut source, options)
-}
-
-/// Runs the fluid simulation with a reactive [`TrafficSource`].
-///
-/// The source's initial flows are injected at their start times; on every
-/// completion the source may return dependent flows, which are injected
-/// in turn (starts in the simulated past are clamped to "now"). Results
-/// are indexed by injection order ([`FlowId`]).
-///
-/// # Panics
-///
-/// Panics if a flow references a host outside the topology.
-#[must_use]
-pub fn simulate_source(
-    topo: &Topology,
-    source: &mut dyn TrafficSource,
-    options: SimOptions,
-) -> SimReport {
-    simulate_faulted(topo, source, &FaultSchedule::empty(), options)
-}
-
-/// Runs the fluid simulation under a fault schedule.
+/// Active flows share links by max-min fairness, recomputed at every
+/// arrival and departure. The source's initial flows are injected at
+/// their start times; on every completion it may return dependent flows,
+/// injected in turn (starts in the simulated past clamp to "now").
+/// Results are indexed by injection order ([`FlowId`]), which for a
+/// [`crate::StaticSource`] is its input order: the open-loop replay.
 ///
 /// Each scheduled fault fires as a DES event at its exact timestamp:
 ///
@@ -465,29 +410,8 @@ pub fn simulate_source(
 /// Aborted flows get a [`FlowResult`] whose `finish` is the abort time,
 /// are listed in [`FaultStats::aborted`], and are reported to the source
 /// via [`TrafficSource::on_flow_aborted`], which may re-issue them. An
-/// empty schedule takes exactly the fault-free arithmetic path:
-/// [`simulate_source`] delegates here, and the golden replay corpus pins
-/// the byte-identity.
-///
-/// # Panics
-///
-/// Panics if a flow references a host outside the topology, or (debug
-/// builds only) if the fluid solver fails to make progress; release
-/// builds recover by draining the run and setting
-/// [`FaultStats::diverged`].
-#[must_use]
-pub fn simulate_faulted(
-    topo: &Topology,
-    source: &mut dyn TrafficSource,
-    schedule: &FaultSchedule,
-    options: SimOptions,
-) -> SimReport {
-    simulate_faulted_observed(topo, source, schedule, options, &Obs::disabled())
-}
-
-/// [`simulate_faulted`] with an observability handle: every entry point
-/// funnels through this one implementation, so the arithmetic path is
-/// identical whether `obs` records or not.
+/// empty schedule takes exactly the fault-free arithmetic path; the
+/// golden replay corpus pins the byte-identity.
 ///
 /// When `obs` is enabled the run emits trace events for engine
 /// dispatches (`des`/`dispatch`), flow lifecycle transitions
@@ -501,9 +425,12 @@ pub fn simulate_faulted(
 ///
 /// # Panics
 ///
-/// As [`simulate_faulted`].
+/// Panics if a flow references a host outside the topology, or (debug
+/// builds only) if the fluid solver fails to make progress; release
+/// builds recover by draining the run and setting
+/// [`FaultStats::diverged`].
 #[must_use]
-pub fn simulate_faulted_observed(
+pub fn simulate(
     topo: &Topology,
     source: &mut dyn TrafficSource,
     schedule: &FaultSchedule,
@@ -1136,8 +1063,9 @@ fn crosses_cut(cuts: &[Vec<bool>], src: u32, dst: u32) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::source::StaticSource;
 
     fn flow(src: u32, dst: u32, bytes: u64, start_ms: u64) -> FlowSpec {
         FlowSpec {
@@ -1149,10 +1077,26 @@ mod tests {
         }
     }
 
+    /// Open-loop, fault-free run of a fixed flow list.
+    pub(crate) fn run(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> SimReport {
+        let (mut source, sched) = (StaticSource::new(flows.to_vec()), FaultSchedule::empty());
+        simulate(topo, &mut source, &sched, options, &Obs::disabled())
+    }
+
+    /// Fault-free or faulted run of any source at default options.
+    fn run_source(
+        topo: &Topology,
+        source: &mut dyn TrafficSource,
+        sched: &FaultSchedule,
+    ) -> SimReport {
+        let obs = Obs::disabled();
+        simulate(topo, source, sched, SimOptions::default(), &obs)
+    }
+
     #[test]
     fn lone_flow_runs_at_line_rate() {
         let topo = Topology::star(2, 1e9);
-        let report = simulate(&topo, &[flow(0, 1, 125_000_000, 0)], SimOptions::default());
+        let report = run(&topo, &[flow(0, 1, 125_000_000, 0)], SimOptions::default());
         assert!((report.results[0].fct().as_secs_f64() - 1.0).abs() < 0.001);
         assert_eq!(report.peak_active, 1);
     }
@@ -1161,7 +1105,7 @@ mod tests {
     fn two_flows_into_one_host_share() {
         let topo = Topology::star(3, 1e9);
         let flows = [flow(0, 2, 125_000_000, 0), flow(1, 2, 125_000_000, 0)];
-        let report = simulate(&topo, &flows, SimOptions::default());
+        let report = run(&topo, &flows, SimOptions::default());
         // Both share host 2's 1 Gb/s downlink: ~2 s each.
         for r in &report.results {
             assert!((r.fct().as_secs_f64() - 2.0).abs() < 0.01, "{:?}", r.fct());
@@ -1172,7 +1116,7 @@ mod tests {
     fn disjoint_flows_do_not_interact() {
         let topo = Topology::star(4, 1e9);
         let flows = [flow(0, 1, 125_000_000, 0), flow(2, 3, 125_000_000, 0)];
-        let report = simulate(&topo, &flows, SimOptions::default());
+        let report = run(&topo, &flows, SimOptions::default());
         for r in &report.results {
             assert!((r.fct().as_secs_f64() - 1.0).abs() < 0.01);
         }
@@ -1183,7 +1127,7 @@ mod tests {
         let topo = Topology::star(3, 1e9);
         // Flow A alone for 0.5 s, then shares with B.
         let flows = [flow(0, 2, 125_000_000, 0), flow(1, 2, 125_000_000, 500)];
-        let report = simulate(&topo, &flows, SimOptions::default());
+        let report = run(&topo, &flows, SimOptions::default());
         let a = report.results[0].fct().as_secs_f64();
         // A: 0.5 s alone (half done) + 1 s shared = 1.5 s.
         assert!((a - 1.5).abs() < 0.02, "a = {a}");
@@ -1193,7 +1137,7 @@ mod tests {
     fn results_preserve_input_order() {
         let topo = Topology::star(4, 1e9);
         let flows = [flow(2, 3, 1000, 100), flow(0, 1, 1000, 0)];
-        let report = simulate(&topo, &flows, SimOptions::default());
+        let report = run(&topo, &flows, SimOptions::default());
         assert_eq!(report.results[0].spec.start, SimTime::from_millis(100));
         assert_eq!(report.results[1].spec.start, SimTime::ZERO);
     }
@@ -1210,7 +1154,7 @@ mod tests {
         for i in 0..100 {
             flows.push(flow(1, 2, 500, i * 10));
         }
-        let report = simulate(&topo, &flows, opts);
+        let report = run(&topo, &flows, opts);
         assert_eq!(report.peak_active, 1, "mice never enter the fluid set");
         for r in &report.results[1..] {
             assert!(r.fct().as_secs_f64() < 0.001);
@@ -1220,7 +1164,7 @@ mod tests {
     #[test]
     fn local_flows_complete_fast() {
         let topo = Topology::star(2, 1e9);
-        let report = simulate(&topo, &[flow(0, 0, 125_000_000, 0)], SimOptions::default());
+        let report = run(&topo, &[flow(0, 0, 125_000_000, 0)], SimOptions::default());
         // Loopback at 10 Gb/s: 0.1 s.
         assert!((report.results[0].fct().as_secs_f64() - 0.1).abs() < 0.01);
     }
@@ -1228,7 +1172,7 @@ mod tests {
     #[test]
     fn zero_byte_flow_costs_propagation() {
         let topo = Topology::star(2, 1e9);
-        let report = simulate(&topo, &[flow(0, 1, 0, 0)], SimOptions::default());
+        let report = run(&topo, &[flow(0, 1, 0, 0)], SimOptions::default());
         let fct = report.results[0].fct().as_secs_f64();
         assert!((0.0001..0.001).contains(&fct), "fct = {fct}");
     }
@@ -1236,7 +1180,7 @@ mod tests {
     #[test]
     fn link_bytes_accumulate() {
         let topo = Topology::star(3, 1e9);
-        let report = simulate(&topo, &[flow(0, 1, 1000, 0)], SimOptions::default());
+        let report = run(&topo, &[flow(0, 1, 1000, 0)], SimOptions::default());
         let carried: u64 = report.link_bytes.iter().sum();
         assert_eq!(carried, 2000, "two hops, 1000 bytes each");
     }
@@ -1248,8 +1192,8 @@ mod tests {
         let nb = Topology::leaf_spine(2, 4, 1, 1e9, 1.0);
         let os = Topology::leaf_spine(2, 4, 1, 1e9, 4.0);
         let flows: Vec<FlowSpec> = (0..4).map(|i| flow(i, 4 + i, 125_000_000, 0)).collect();
-        let fast = simulate(&nb, &flows, SimOptions::default());
-        let slow = simulate(&os, &flows, SimOptions::default());
+        let fast = run(&nb, &flows, SimOptions::default());
+        let slow = run(&os, &flows, SimOptions::default());
         let fast_mean: f64 = fast.fcts().iter().sum::<f64>() / 4.0;
         let slow_mean: f64 = slow.fcts().iter().sum::<f64>() / 4.0;
         assert!(
@@ -1275,7 +1219,7 @@ mod tests {
                 tag: 0,
             });
         }
-        let report = simulate(&topo, &flows, SimOptions::default());
+        let report = run(&topo, &flows, SimOptions::default());
         assert_eq!(report.results.len(), 120);
         assert!(report.makespan().as_secs_f64() > 1.0);
     }
@@ -1295,12 +1239,8 @@ mod tests {
         let short = [flow(0, 1, 100_000, 0)];
         let long = [flow(0, 1, 100_000_000, 0)];
         let rel = |flows: &[FlowSpec]| {
-            let with = simulate(&topo, flows, opts_ss).results[0]
-                .fct()
-                .as_secs_f64();
-            let without = simulate(&topo, flows, opts_fluid).results[0]
-                .fct()
-                .as_secs_f64();
+            let with = run(&topo, flows, opts_ss).results[0].fct().as_secs_f64();
+            let without = run(&topo, flows, opts_fluid).results[0].fct().as_secs_f64();
             (with - without) / without
         };
         let short_penalty = rel(&short);
@@ -1342,7 +1282,7 @@ mod tests {
             child: Some(flow(1, 2, 125_000_000, 0)),
             releases: Vec::new(),
         };
-        let report = simulate_source(&topo, &mut source, SimOptions::default());
+        let report = run_source(&topo, &mut source, &FaultSchedule::empty());
         assert_eq!(report.results.len(), 2);
         // Parent runs alone (~1 s), child starts only after it finishes.
         let parent = report.results[0];
@@ -1356,27 +1296,6 @@ mod tests {
     }
 
     #[test]
-    fn static_source_matches_simulate() {
-        let topo = Topology::star(6, 1e9);
-        let flows: Vec<FlowSpec> = (0..20)
-            .map(|i| {
-                flow(
-                    i % 5,
-                    (i + 1) % 5,
-                    1_000_000 + u64::from(i) * 77_777,
-                    u64::from(i) * 13,
-                )
-            })
-            .collect();
-        let direct = simulate(&topo, &flows, SimOptions::default());
-        let mut source = StaticSource::new(flows.clone());
-        let via_source = simulate_source(&topo, &mut source, SimOptions::default());
-        assert_eq!(direct.results, via_source.results);
-        assert_eq!(direct.link_bytes, via_source.link_bytes);
-        assert_eq!(direct.peak_active, via_source.peak_active);
-    }
-
-    #[test]
     fn past_start_times_clamp_to_release() {
         // A child spec claiming to start at t=0 is injected when its
         // parent completes (~1 s): the start clamps forward, never back.
@@ -1386,14 +1305,14 @@ mod tests {
             child: Some(flow(1, 2, 1_000, 0)),
             releases: Vec::new(),
         };
-        let report = simulate_source(&topo, &mut source, SimOptions::default());
+        let report = run_source(&topo, &mut source, &FaultSchedule::empty());
         assert_eq!(report.results[1].spec.start, report.results[0].finish);
     }
 
     #[test]
     fn makespan_and_utilisation() {
         let topo = Topology::star(2, 1e9);
-        let report = simulate(&topo, &[flow(0, 1, 125_000_000, 0)], SimOptions::default());
+        let report = run(&topo, &[flow(0, 1, 125_000_000, 0)], SimOptions::default());
         assert!((report.makespan().as_secs_f64() - 1.0).abs() < 0.01);
         let util = report.peak_link_utilisation(&topo);
         assert!(util > 0.9 && util <= 1.01, "util = {util}");
@@ -1412,8 +1331,7 @@ mod tests {
     }
 
     fn run_static(topo: &Topology, flows: &[FlowSpec], sched: &FaultSchedule) -> SimReport {
-        let mut source = StaticSource::new(flows.to_vec());
-        simulate_faulted(topo, &mut source, sched, SimOptions::default())
+        run_source(topo, &mut StaticSource::new(flows.to_vec()), sched)
     }
 
     fn conserved(report: &SimReport) {
@@ -1426,7 +1344,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_schedule_is_bit_identical_to_simulate() {
+    fn empty_schedule_applies_no_faults() {
         let topo = Topology::leaf_spine(2, 3, 2, 1e9, 2.0);
         let flows: Vec<FlowSpec> = (0..12)
             .map(|i| {
@@ -1438,11 +1356,7 @@ mod tests {
                 )
             })
             .collect();
-        let clean = simulate(&topo, &flows, SimOptions::default());
         let faulted = run_static(&topo, &flows, &FaultSchedule::empty());
-        assert_eq!(clean.results, faulted.results);
-        assert_eq!(clean.link_bytes, faulted.link_bytes);
-        assert_eq!(clean.events, faulted.events);
         assert_eq!(faulted.faults.faults_applied, 0);
         assert!(faulted.faults.aborted.is_empty());
         conserved(&faulted);
@@ -1637,8 +1551,7 @@ mod tests {
         let plain = run_static(&topo, &flows, &sched);
         let obs = Obs::enabled();
         let mut source = StaticSource::new(flows.to_vec());
-        let observed =
-            simulate_faulted_observed(&topo, &mut source, &sched, SimOptions::default(), &obs);
+        let observed = simulate(&topo, &mut source, &sched, SimOptions::default(), &obs);
         assert_eq!(plain.results, observed.results);
         assert_eq!(plain.link_bytes, observed.link_bytes);
         assert_eq!(plain.faults, observed.faults);
@@ -1666,7 +1579,7 @@ mod tests {
             retries: 0,
         };
         let sched = schedule(vec![fault(500_000_000, FaultKind::NodeCrash { node: 3 })]);
-        let report = simulate_faulted(&topo, &mut source, &sched, SimOptions::default());
+        let report = run_source(&topo, &mut source, &sched);
         assert_eq!(source.retries, 1);
         assert_eq!(report.results.len(), 2, "retry was injected");
         let retry = report.results[1];

@@ -62,9 +62,8 @@ pub trait TrafficSource {
 
 /// The open-loop source: every flow is known up front, nothing reacts.
 ///
-/// Running [`crate::simulate_source`] with a `StaticSource` is
-/// byte-for-byte identical to the pre-trait [`crate::simulate`] on the
-/// same specs.
+/// Running [`crate::simulate`] with a `StaticSource` is the open-loop
+/// replay of its flow list.
 #[derive(Debug, Clone)]
 pub struct StaticSource {
     flows: Vec<FlowSpec>,

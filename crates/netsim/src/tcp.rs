@@ -233,7 +233,8 @@ pub fn simulate_tcp(topo: &Topology, flows: &[FlowSpec], options: TcpOptions) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{simulate, SimOptions};
+    use crate::sim::tests::run as simulate;
+    use crate::sim::SimOptions;
     use crate::topology::HostId;
 
     fn flow(src: u32, dst: u32, bytes: u64, start_ms: u64) -> FlowSpec {

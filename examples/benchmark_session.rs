@@ -74,7 +74,9 @@ fn main() {
     // Model each phase in isolation via the experiment runner: the two
     // cells are independent, so they execute on parallel workers with
     // seeds derived from their identity (results are the same at any
-    // worker count).
+    // worker count). KEDDAH_JOBS is the bench binaries' worker knob,
+    // read here at the example's edge.
+    #[allow(clippy::disallowed_methods)]
     let jobs = std::env::var("KEDDAH_JOBS")
         .ok()
         .and_then(|raw| raw.parse().ok())

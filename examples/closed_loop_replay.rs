@@ -17,10 +17,12 @@
 //! ```
 
 use keddah::core::pipeline::Keddah;
+use keddah::core::replay::{replay_source_observed, trace_to_flows};
 use keddah::core::source::TraceSource;
 use keddah::core::validate::compare_replays;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
-use keddah::netsim::{SimOptions, Topology};
+use keddah::netsim::{SimOptions, StaticSource, Topology};
+use keddah::obs::Obs;
 
 fn main() {
     // Capture one 2 GiB TeraSort on a 16-worker testbed.
@@ -40,15 +42,17 @@ fn main() {
         ..SimOptions::default()
     };
 
-    let source = TraceSource::new(trace, &topo).expect("trace fits topology");
+    let mut source = TraceSource::new(trace, &topo).expect("trace fits topology");
     println!(
         "capture: {} flows, {} gated behind an inferred dependency edge",
         source.flow_count(),
         source.dependent_count()
     );
 
-    let open = Keddah::replay(trace, &topo, opts, false).expect("open-loop replay");
-    let closed = Keddah::replay(trace, &topo, opts, true).expect("closed-loop replay");
+    let flows = trace_to_flows(trace, &topo).expect("trace fits topology");
+    let obs = Obs::disabled();
+    let open = replay_source_observed(&topo, &mut StaticSource::new(flows), opts, &obs);
+    let closed = replay_source_observed(&topo, &mut source, opts, &obs);
 
     println!(
         "\n{:<12} {:>8} {:>16} {:>16}",

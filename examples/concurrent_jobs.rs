@@ -11,10 +11,11 @@
 //! ```
 
 use keddah::core::pipeline::Keddah;
-use keddah::core::replay::replay_jobs;
+use keddah::core::replay::{jobs_to_flows, replay_source_observed};
 use keddah::flowcap::Component;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
-use keddah::netsim::{SimOptions, Topology};
+use keddah::netsim::{SimOptions, StaticSource, Topology};
+use keddah::obs::Obs;
 
 fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -50,7 +51,9 @@ fn main() {
     for n in [1u32, 2, 4, 8] {
         // 10 s stagger: jobs overlap heavily but not perfectly.
         let jobs = model.generate_jobs(n, 500, 10.0);
-        let report = replay_jobs(&jobs, &topo, opts).expect("topology fits the model");
+        let flows = jobs_to_flows(&jobs, &topo).expect("topology fits the model");
+        let report =
+            replay_source_observed(&topo, &mut StaticSource::new(flows), opts, &Obs::disabled());
         let shuffle_fcts = report
             .fct_by_component
             .get(&Component::Shuffle)

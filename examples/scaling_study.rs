@@ -12,10 +12,11 @@
 
 use keddah::core::family::ModelFamily;
 use keddah::core::pipeline::Keddah;
-use keddah::core::replay::replay_jobs;
+use keddah::core::replay::{jobs_to_flows, replay_source_observed};
 use keddah::flowcap::Component;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
-use keddah::netsim::{SimOptions, Topology};
+use keddah::netsim::{SimOptions, StaticSource, Topology};
+use keddah::obs::Obs;
 
 fn main() {
     // Anchor captures at small sizes only.
@@ -61,7 +62,9 @@ fn main() {
         mouse_threshold: 10_000,
         ..SimOptions::default()
     };
-    let report = replay_jobs(&[job], &topo, opts).expect("fits fat-tree");
+    let flows = jobs_to_flows(&[job], &topo).expect("fits fat-tree");
+    let report =
+        replay_source_observed(&topo, &mut StaticSource::new(flows), opts, &Obs::disabled());
     let mut shuffle = report
         .fct_by_component
         .get(&Component::Shuffle)

@@ -13,10 +13,11 @@
 //! ```
 
 use keddah::core::pipeline::Keddah;
-use keddah::core::replay::replay_jobs;
+use keddah::core::replay::{jobs_to_flows, replay_source_observed};
 use keddah::flowcap::Component;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
-use keddah::netsim::{SimOptions, Topology};
+use keddah::netsim::{SimOptions, StaticSource, Topology};
+use keddah::obs::Obs;
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -58,13 +59,15 @@ fn main() {
         "topology", "p50 FCT", "p95 FCT", "p99 FCT", "makespan"
     );
     for topo in &topologies {
-        let report = match replay_jobs(&jobs, topo, opts) {
-            Ok(r) => r,
+        let flows = match jobs_to_flows(&jobs, topo) {
+            Ok(flows) => flows,
             Err(e) => {
                 println!("{:<40} skipped: {e}", topo.name());
                 continue;
             }
         };
+        let report =
+            replay_source_observed(topo, &mut StaticSource::new(flows), opts, &Obs::disabled());
         let mut shuffle = report
             .fct_by_component
             .get(&Component::Shuffle)

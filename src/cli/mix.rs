@@ -3,9 +3,10 @@
 use std::fs;
 
 use keddah_core::mix::{JobMix, MixEntry};
-use keddah_core::replay::replay_jobs;
+use keddah_core::replay::{jobs_to_flows, replay_source_observed};
 use keddah_core::KeddahModel;
-use keddah_netsim::SimOptions;
+use keddah_netsim::{SimOptions, StaticSource};
+use keddah_obs::Obs;
 
 use super::topo_spec::parse_topology;
 use super::{err, Args, Result};
@@ -89,7 +90,9 @@ pub fn run(args: &Args) -> Result<()> {
             mouse_threshold: args.get_num("mouse-bytes", 10_000u64)?,
             ..SimOptions::default()
         };
-        let report = replay_jobs(&jobs, &topo, options).map_err(|e| err(e.to_string()))?;
+        let flows = jobs_to_flows(&jobs, &topo).map_err(|e| err(e.to_string()))?;
+        let mut source = StaticSource::new(flows);
+        let report = replay_source_observed(&topo, &mut source, options, &Obs::disabled());
         println!(
             "replayed {} flows on {} — makespan {:.0} s, peak link {:.1}%",
             report.sim.results.len(),

@@ -2,14 +2,11 @@
 
 use std::fs;
 
-use keddah_core::replay::{
-    jobs_to_flows, replay_faulted_observed, replay_observed, replay_source_faulted_observed,
-    replay_source_observed, trace_to_flows, ReplayReport,
-};
+use keddah_core::replay::{jobs_to_flows, replay_source_faulted_observed, trace_to_flows};
 use keddah_core::validate::compare_replays;
 use keddah_core::{FaultSpec, KeddahModel, ModelSource, TraceSource};
 use keddah_flowcap::Trace;
-use keddah_netsim::SimOptions;
+use keddah_netsim::{SimOptions, StaticSource, TrafficSource};
 use keddah_obs::Obs;
 
 use super::topo_spec::parse_topology;
@@ -97,9 +94,9 @@ pub fn run(args: &Args) -> Result<()> {
         (&obs, &disabled)
     };
 
-    // With --faults, the baseline (fault-free) replay runs alongside the
-    // faulted one so per-component deltas can be reported.
-    let (baseline, faulted): (ReplayReport, Option<ReplayReport>) =
+    // Each run replays its own copy of one source, so the baseline and
+    // the faulted run see the same traffic.
+    let source: Box<dyn Fn() -> Box<dyn TrafficSource>> =
         match (args.get("model"), args.get("trace")) {
             (Some(_), Some(_)) => {
                 return Err(err("give either --model or --trace, not both"));
@@ -112,33 +109,10 @@ pub fn run(args: &Args) -> Result<()> {
                 let seed = args.get_num("seed", 1u64)?;
                 let stagger = args.get_num("stagger-secs", 10.0f64)?;
                 if closed_loop {
-                    let base = ModelSource::new(&model, jobs, seed, stagger, &topo)
-                        .map(|mut src| replay_source_observed(&topo, &mut src, options, base_obs))
-                        .map_err(|e| err(e.to_string()))?;
-                    let faulted = spec
-                        .as_ref()
-                        .map(|s| {
-                            ModelSource::new(&model, jobs, seed, stagger, &topo).and_then(
-                                |mut src| {
-                                    replay_source_faulted_observed(
-                                        &topo, &mut src, s, options, fault_obs,
-                                    )
-                                },
-                            )
-                        })
-                        .transpose()
-                        .map_err(|e| err(e.to_string()))?;
-                    (base, faulted)
+                    copies(ModelSource::new(&model, jobs, seed, stagger, &topo))?
                 } else {
-                    let jobs = model.generate_jobs(jobs, seed, stagger);
-                    let flows = jobs_to_flows(&jobs, &topo).map_err(|e| err(e.to_string()))?;
-                    let base = replay_observed(&topo, &flows, options, base_obs);
-                    let faulted = spec
-                        .as_ref()
-                        .map(|s| replay_faulted_observed(&topo, &flows, s, options, fault_obs))
-                        .transpose()
-                        .map_err(|e| err(e.to_string()))?;
-                    (base, faulted)
+                    let generated = model.generate_jobs(jobs, seed, stagger);
+                    copies(jobs_to_flows(&generated, &topo).map(StaticSource::new))?
                 }
             }
             (None, Some(trace_path)) => {
@@ -156,36 +130,24 @@ pub fn run(args: &Args) -> Result<()> {
                     }
                 }
                 if closed_loop {
-                    let base = TraceSource::new(&trace, &topo)
-                        .map(|mut src| replay_source_observed(&topo, &mut src, options, base_obs))
-                        .map_err(|e| err(e.to_string()))?;
-                    let faulted = spec
-                        .as_ref()
-                        .map(|s| {
-                            TraceSource::new(&trace, &topo).and_then(|mut src| {
-                                replay_source_faulted_observed(
-                                    &topo, &mut src, s, options, fault_obs,
-                                )
-                            })
-                        })
-                        .transpose()
-                        .map_err(|e| err(e.to_string()))?;
-                    (base, faulted)
+                    copies(TraceSource::new(&trace, &topo))?
                 } else {
-                    let flows = trace_to_flows(&trace, &topo).map_err(|e| err(e.to_string()))?;
-                    let base = replay_observed(&topo, &flows, options, base_obs);
-                    let faulted = spec
-                        .as_ref()
-                        .map(|s| replay_faulted_observed(&topo, &flows, s, options, fault_obs))
-                        .transpose()
-                        .map_err(|e| err(e.to_string()))?;
-                    (base, faulted)
+                    copies(trace_to_flows(&trace, &topo).map(StaticSource::new))?
                 }
             }
             (None, None) => {
                 return Err(err("need --model or --trace; run `keddah replay --help`"));
             }
         };
+
+    // With --faults, the baseline (fault-free) replay runs alongside the
+    // faulted one so per-component deltas can be reported.
+    let replay = |spec: &FaultSpec, obs: &Obs| {
+        replay_source_faulted_observed(&topo, &mut *source(), spec, options, obs)
+            .map_err(|e| err(e.to_string()))
+    };
+    let baseline = replay(&FaultSpec::empty(), base_obs)?;
+    let faulted = spec.as_ref().map(|s| replay(s, fault_obs)).transpose()?;
 
     let report = faulted.as_ref().unwrap_or(&baseline);
 
@@ -252,4 +214,13 @@ pub fn run(args: &Args) -> Result<()> {
         }
     }
     obs_out::write_artifacts(&obs, args)
+}
+
+/// A built source, or its construction error, as a factory of fresh
+/// copies: an unstarted source's clone replays exactly like the original.
+fn copies<S: TrafficSource + Clone + 'static>(
+    source: keddah_core::Result<S>,
+) -> Result<Box<dyn Fn() -> Box<dyn TrafficSource>>> {
+    let source = source.map_err(|e| err(e.to_string()))?;
+    Ok(Box::new(move || Box::new(source.clone())))
 }

@@ -185,6 +185,26 @@ fn error_paths_are_reported() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_parse_error_not_a_crash() {
+    let dir = tmp_dir("deep-json");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(100_000) + &"]".repeat(100_000)).expect("write");
+    for command in [&["faults", "show"][..], &["stats"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_keddah"))
+            .args(command)
+            .arg(&deep)
+            .output()
+            .expect("keddah runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
+        assert!(
+            stderr.contains("recursion limit exceeded"),
+            "{command:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn faults_gen_show_and_degraded_replay() {
     let dir = tmp_dir("faults");
     let spec = dir.join("crash.json");

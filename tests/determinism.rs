@@ -3,9 +3,27 @@
 //! goal ("enabling reproducible Hadoop research").
 
 use keddah::core::pipeline::Keddah;
-use keddah::core::replay::replay_jobs;
+use keddah::core::replay::{
+    jobs_to_flows, replay_source_faulted_observed, replay_source_observed, ReplayReport,
+};
+use keddah::core::{FaultSpec, KeddahModel, ModelSource, TraceSource};
 use keddah::hadoop::{run_job, ClusterSpec, HadoopConfig, JobSpec, Workload};
-use keddah::netsim::{SimOptions, Topology};
+use keddah::netsim::{SimOptions, StaticSource, Topology};
+use keddah::obs::Obs;
+
+/// Closed-loop replay of two jobs drawn from `model` with `seed`, 5 s
+/// apart, under `spec` (empty for a clean run).
+fn replay_model(
+    model: &KeddahModel,
+    topo: &Topology,
+    seed: u64,
+    spec: &FaultSpec,
+    opts: SimOptions,
+) -> ReplayReport {
+    let mut source = ModelSource::new(model, 2, seed, 5.0, topo).expect("model fits the fabric");
+    replay_source_faulted_observed(topo, &mut source, spec, opts, &Obs::disabled())
+        .expect("replays")
+}
 
 #[test]
 fn capture_is_deterministic() {
@@ -40,12 +58,10 @@ fn full_pipeline_is_deterministic() {
         let model = Keddah::fit(&traces).expect("fits");
         let generated = model.generate_job(7);
         let topo = Topology::star(8, 1e9);
-        let replay = replay_jobs(
-            std::slice::from_ref(&generated),
-            &topo,
-            SimOptions::default(),
-        )
-        .expect("replays");
+        let flows = jobs_to_flows(std::slice::from_ref(&generated), &topo).expect("fits");
+        let mut source = StaticSource::new(flows);
+        let replay =
+            replay_source_observed(&topo, &mut source, SimOptions::default(), &Obs::disabled());
         (model, generated, replay.sim.fcts())
     };
     let (m1, g1, f1) = run(5);
@@ -57,8 +73,6 @@ fn full_pipeline_is_deterministic() {
 
 #[test]
 fn closed_loop_replay_is_deterministic() {
-    use keddah::core::replay::{replay_model_closed, replay_trace_closed};
-
     let cluster = ClusterSpec::racks(2, 3);
     let config = HadoopConfig::default().with_reducers(3);
     let job = JobSpec::new(Workload::TeraSort, 512 << 20);
@@ -70,25 +84,28 @@ fn closed_loop_replay_is_deterministic() {
     };
 
     // Trace replay: same capture, byte-identical finishes.
-    let nanos = |r: &keddah::core::replay::ReplayReport| -> Vec<u64> {
+    let nanos = |r: &ReplayReport| -> Vec<u64> {
         r.sim.results.iter().map(|f| f.finish.as_nanos()).collect()
     };
-    let a = replay_trace_closed(&traces[0], &topo, opts).expect("replays");
-    let b = replay_trace_closed(&traces[0], &topo, opts).expect("replays");
+    let replay_trace = || {
+        let mut source = TraceSource::new(&traces[0], &topo).expect("trace fits the fabric");
+        replay_source_observed(&topo, &mut source, opts, &Obs::disabled())
+    };
+    let (a, b) = (replay_trace(), replay_trace());
     assert_eq!(nanos(&a), nanos(&b), "closed-loop trace replay identical");
 
     // Model replay: same seed, byte-identical; different seed, different.
     let model = Keddah::fit(&traces).expect("fits");
-    let m1 = replay_model_closed(&model, &topo, 2, 11, 5.0, opts).expect("replays");
-    let m2 = replay_model_closed(&model, &topo, 2, 11, 5.0, opts).expect("replays");
+    let clean = FaultSpec::empty();
+    let m1 = replay_model(&model, &topo, 11, &clean, opts);
+    let m2 = replay_model(&model, &topo, 11, &clean, opts);
     assert_eq!(nanos(&m1), nanos(&m2), "closed-loop model replay identical");
-    let m3 = replay_model_closed(&model, &topo, 2, 12, 5.0, opts).expect("replays");
+    let m3 = replay_model(&model, &topo, 12, &clean, opts);
     assert_ne!(nanos(&m1), nanos(&m3), "seed changes the replay");
 }
 
 #[test]
 fn closed_loop_replay_is_parallelism_invariant_through_the_runner() {
-    use keddah::core::replay::replay_model_closed;
     use keddah::core::{MatrixCell, Runner};
 
     // The runner's derived seeds make captures (and hence fitted models)
@@ -116,16 +133,9 @@ fn closed_loop_replay_is_parallelism_invariant_through_the_runner() {
             .iter()
             .map(|cell| {
                 let model = cell.model.as_ref().expect("cell fits a model");
-                let report = replay_model_closed(
-                    model,
-                    &Topology::star(8, 1e9),
-                    2,
-                    11,
-                    5.0,
-                    SimOptions::default(),
-                )
-                .expect("replays");
-                report
+                let topo = Topology::star(8, 1e9);
+                let spec = FaultSpec::empty();
+                replay_model(model, &topo, 11, &spec, SimOptions::default())
                     .sim
                     .results
                     .iter()
@@ -141,7 +151,6 @@ fn closed_loop_replay_is_parallelism_invariant_through_the_runner() {
 
 #[test]
 fn full_recompute_knob_and_jobs_width_never_change_comparisons() {
-    use keddah::core::replay::{replay_jobs, replay_model_closed};
     use keddah::core::validate::compare_replays;
     use keddah::core::{MatrixCell, Runner};
 
@@ -165,9 +174,10 @@ fn full_recompute_knob_and_jobs_width_never_change_comparisons() {
             full_recompute,
             ..SimOptions::default()
         };
-        let jobs = model.generate_jobs(2, 11, 5.0);
-        let open = replay_jobs(&jobs, &topo, opts).expect("open replay");
-        let closed = replay_model_closed(model, &topo, 2, 11, 5.0, opts).expect("closed replay");
+        let flows = jobs_to_flows(&model.generate_jobs(2, 11, 5.0), &topo).expect("open flows");
+        let open =
+            replay_source_observed(&topo, &mut StaticSource::new(flows), opts, &Obs::disabled());
+        let closed = replay_model(model, &topo, 11, &FaultSpec::empty(), opts);
         let rows = compare_replays(&open, &closed).expect("comparable components");
         serde_json::to_string(&rows).expect("comparison serializes")
     };
@@ -184,7 +194,6 @@ fn full_recompute_knob_and_jobs_width_never_change_comparisons() {
 
 #[test]
 fn fault_schedules_never_change_comparisons_across_widths_and_oracle() {
-    use keddah::core::replay::{replay_model_closed, replay_model_closed_faulted};
     use keddah::core::validate::compare_replays;
     use keddah::core::{MatrixCell, Runner};
     use keddah::faults::{generate, FaultGen};
@@ -193,8 +202,7 @@ fn fault_schedules_never_change_comparisons_across_widths_and_oracle() {
     // the baseline-vs-faulted comparison of the same fitted model and
     // the same seed-derived fault schedule serializes byte-identically
     // at any runner width and under the full-recompute oracle
-    // (`SimOptions::full_recompute`, the programmatic face of the
-    // `KEDDAH_FULL_RECOMPUTE` env knob).
+    // (`SimOptions::full_recompute`).
     let cells = vec![MatrixCell::new(
         Workload::TeraSort,
         512 << 20,
@@ -224,9 +232,8 @@ fn fault_schedules_never_change_comparisons_across_widths_and_oracle() {
             mouse_threshold: 10_000,
             ..SimOptions::default()
         };
-        let baseline = replay_model_closed(model, &topo, 2, 11, 5.0, opts).expect("baseline");
-        let faulted = replay_model_closed_faulted(model, &topo, 2, 11, 5.0, &spec, opts)
-            .expect("faulted replay");
+        let baseline = replay_model(model, &topo, 11, &FaultSpec::empty(), opts);
+        let faulted = replay_model(model, &topo, 11, &spec, opts);
         assert!(
             faulted.sim.faults.faults_applied > 0,
             "the schedule actually fired"
@@ -247,7 +254,6 @@ fn fault_schedules_never_change_comparisons_across_widths_and_oracle() {
 
 #[test]
 fn aggregation_and_solver_width_knobs_never_change_replays() {
-    use keddah::core::replay::{replay_model_closed, replay_model_closed_faulted};
     use keddah::faults::{generate, FaultGen};
 
     // Flow bundles (`aggregate`) and parallel component solves
@@ -280,11 +286,10 @@ fn aggregation_and_solver_width_knobs_never_change_replays() {
             mouse_threshold: 10_000,
             ..SimOptions::default()
         };
-        let clean = replay_model_closed(&model, &topo, 2, 11, 5.0, opts).expect("clean replay");
-        let faulted = replay_model_closed_faulted(&model, &topo, 2, 11, 5.0, &spec, opts)
-            .expect("faulted replay");
+        let clean = replay_model(&model, &topo, 11, &FaultSpec::empty(), opts);
+        let faulted = replay_model(&model, &topo, 11, &spec, opts);
         assert!(faulted.sim.faults.faults_applied > 0, "schedule fired");
-        let nanos = |r: &keddah::core::replay::ReplayReport| -> Vec<u64> {
+        let nanos = |r: &ReplayReport| -> Vec<u64> {
             r.sim.results.iter().map(|f| f.finish.as_nanos()).collect()
         };
         (

@@ -12,9 +12,11 @@
 //! name) and re-pin only when the engine's semantics intentionally
 //! change.
 
-use keddah::core::replay::{replay_trace, replay_trace_closed, ReplayReport};
+use keddah::core::replay::{replay_source_observed, trace_to_flows, ReplayReport};
+use keddah::core::TraceSource;
 use keddah::flowcap::Trace;
-use keddah::netsim::{SimOptions, Topology};
+use keddah::netsim::{SimOptions, StaticSource, Topology};
+use keddah::obs::Obs;
 
 fn fixture(name: &str) -> Trace {
     let path = format!("{}/tests/fixtures/{name}.jsonl", env!("CARGO_MANIFEST_DIR"));
@@ -55,13 +57,15 @@ fn summarize(report: &ReplayReport) -> Vec<(u32, u64, u64, u64)> {
 
 /// Replays `name` both ways and checks the pinned summaries across the
 /// engine's performance-knob matrix: incremental vs full-recompute fair
-/// share, flow bundles vs singleton entries (the `KEDDAH_NO_AGGREGATE`
+/// share, flow bundles vs singleton entries (the `aggregate: false`
 /// oracle shape) and sequential vs 8-way parallel component solves.
 /// Every cell must reproduce the pins bit-for-bit — the knobs trade
 /// wall-clock, never results.
 fn check(name: &str, open_pins: &[(u32, u64, u64, u64)], closed_pins: &[(u32, u64, u64, u64)]) {
     let trace = fixture(name);
     let topo = fabric();
+    let flows = trace_to_flows(&trace, &topo).expect("fixture fits the fabric");
+    let obs = Obs::disabled();
     for (full_recompute, aggregate, solver_jobs) in [
         (false, true, 1),
         (false, true, 8),
@@ -77,9 +81,10 @@ fn check(name: &str, open_pins: &[(u32, u64, u64, u64)], closed_pins: &[(u32, u6
         };
         let knobs =
             format!("full_recompute={full_recompute} aggregate={aggregate} jobs={solver_jobs}");
-        let open = replay_trace(&trace, &topo, opts).expect("open replay");
+        let open = replay_source_observed(&topo, &mut StaticSource::new(flows.clone()), opts, &obs);
         assert_eq!(summarize(&open), open_pins, "{name} open loop ({knobs})");
-        let closed = replay_trace_closed(&trace, &topo, opts).expect("closed replay");
+        let mut source = TraceSource::new(&trace, &topo).expect("closed source");
+        let closed = replay_source_observed(&topo, &mut source, opts, &obs);
         assert_eq!(
             summarize(&closed),
             closed_pins,

@@ -7,15 +7,14 @@
 //! matrix runner folds identical metrics for any worker count.
 
 use keddah::core::replay::{
-    replay_faulted_observed, replay_observed, replay_source_faulted_observed,
-    replay_source_observed, trace_to_flows, ReplayReport,
+    replay_source_faulted_observed, replay_source_observed, trace_to_flows, ReplayReport,
 };
 use keddah::core::runner::{MatrixCell, Runner};
 use keddah::core::TraceSource;
 use keddah::faults::{FaultKind, FaultSpec, TimedFault};
 use keddah::flowcap::Trace;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, Workload};
-use keddah::netsim::{SimOptions, Topology};
+use keddah::netsim::{FlowSpec, SimOptions, StaticSource, Topology};
 use keddah::obs::Obs;
 
 fn fixture(name: &str) -> Trace {
@@ -54,6 +53,12 @@ fn crash_spec() -> FaultSpec {
     }
 }
 
+/// Open-loop replay of `flows` under `spec` (empty for a clean run).
+fn replay_open(topo: &Topology, flows: &[FlowSpec], spec: &FaultSpec, obs: &Obs) -> ReplayReport {
+    let mut source = StaticSource::new(flows.to_vec());
+    replay_source_faulted_observed(topo, &mut source, spec, options(), obs).expect("replays")
+}
+
 fn assert_reports_identical(plain: &ReplayReport, observed: &ReplayReport, what: &str) {
     assert_eq!(plain.sim.results, observed.sim.results, "{what}: results");
     assert_eq!(
@@ -72,9 +77,9 @@ fn observed_open_loop_is_byte_identical() {
     let trace = fixture("terasort_nodefail");
     let topo = fabric();
     let flows = trace_to_flows(&trace, &topo).expect("flows");
-    let obs = Obs::enabled();
-    let plain = replay_observed(&topo, &flows, options(), &Obs::disabled());
-    let observed = replay_observed(&topo, &flows, options(), &obs);
+    let (obs, clean) = (Obs::enabled(), FaultSpec::empty());
+    let plain = replay_open(&topo, &flows, &clean, &Obs::disabled());
+    let observed = replay_open(&topo, &flows, &clean, &obs);
     assert_reports_identical(&plain, &observed, "open loop");
     // The recording itself is real: flow lifecycle counters agree with
     // the report they were recorded alongside.
@@ -93,9 +98,8 @@ fn observed_faulted_open_loop_is_byte_identical() {
     let flows = trace_to_flows(&trace, &topo).expect("flows");
     let spec = crash_spec();
     let obs = Obs::enabled();
-    let plain =
-        replay_faulted_observed(&topo, &flows, &spec, options(), &Obs::disabled()).expect("plain");
-    let observed = replay_faulted_observed(&topo, &flows, &spec, options(), &obs).expect("obs");
+    let plain = replay_open(&topo, &flows, &spec, &Obs::disabled());
+    let observed = replay_open(&topo, &flows, &spec, &obs);
     assert_reports_identical(&plain, &observed, "faulted open loop");
     // Acceptance pin: the "faults" counters mirror FaultStats exactly.
     let snap = obs.metrics();
@@ -154,9 +158,9 @@ fn trace_ring_overflow_does_not_perturb_results() {
     let trace = fixture("terasort");
     let topo = fabric();
     let flows = trace_to_flows(&trace, &topo).expect("flows");
-    let obs = Obs::with_trace_capacity(8);
-    let plain = replay_observed(&topo, &flows, options(), &Obs::disabled());
-    let observed = replay_observed(&topo, &flows, options(), &obs);
+    let (obs, clean) = (Obs::with_trace_capacity(8), FaultSpec::empty());
+    let plain = replay_open(&topo, &flows, &clean, &Obs::disabled());
+    let observed = replay_open(&topo, &flows, &clean, &obs);
     assert_reports_identical(&plain, &observed, "tiny ring");
     assert_eq!(obs.trace_events().len(), 8);
     assert!(obs.trace_dropped() > 0);

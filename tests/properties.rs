@@ -348,8 +348,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Replaying any flow set through a [`StaticSource`] on the shared
-    /// DES engine is byte-identical to the flat open-loop simulation.
+    /// Replaying any flow set through a [`StaticSource`] is the open-loop
+    /// simulation of that list: every flow is injected once, in input
+    /// order, at its own start time, and the finishes are byte-identical
+    /// under the per-flow (`aggregate: false`) oracle shape.
     #[test]
     fn static_source_matches_open_loop(
         flows in prop::collection::vec(
@@ -357,9 +359,9 @@ proptest! {
             1..40
         )
     ) {
-        use keddah::netsim::{
-            simulate, simulate_source, FlowSpec, HostId, SimOptions, StaticSource, Topology,
-        };
+        use keddah::faults::FaultSchedule;
+        use keddah::netsim::{simulate, FlowSpec, HostId, SimOptions, StaticSource, Topology};
+        use keddah::obs::Obs;
         let specs: Vec<FlowSpec> = flows
             .iter()
             .map(|&(src, hop, bytes, start_ms)| FlowSpec {
@@ -371,12 +373,16 @@ proptest! {
             })
             .collect();
         let topo = Topology::star(8, 1e9);
-        let opts = SimOptions::default();
-        let open = simulate(&topo, &specs, opts);
-        let closed = simulate_source(&topo, &mut StaticSource::new(specs), opts);
-        prop_assert_eq!(open.results.len(), closed.results.len());
-        for (a, b) in open.results.iter().zip(&closed.results) {
-            prop_assert_eq!(a.spec, b.spec);
+        let run = |aggregate: bool| {
+            let opts = SimOptions { aggregate, ..SimOptions::default() };
+            let mut source = StaticSource::new(specs.clone());
+            simulate(&topo, &mut source, &FaultSchedule::empty(), opts, &Obs::disabled())
+        };
+        let (open, oracle) = (run(true), run(false));
+        prop_assert_eq!(open.results.len(), specs.len());
+        for ((a, b), spec) in open.results.iter().zip(&oracle.results).zip(&specs) {
+            prop_assert_eq!(a.spec, *spec);
+            prop_assert_eq!(b.spec, *spec);
             prop_assert_eq!(a.finish.as_nanos(), b.finish.as_nanos());
         }
     }
@@ -391,10 +397,11 @@ proptest! {
             1..30
         )
     ) {
-        use keddah::core::replay::replay_source;
+        use keddah::core::replay::replay_source_observed;
         use keddah::core::source::TraceSource;
         use keddah::flowcap::{Component, FiveTuple, FlowRecord, NodeId, Trace, TraceMeta};
         use keddah::netsim::{SimOptions, Topology};
+        use keddah::obs::Obs;
         use std::collections::BTreeMap;
 
         let records: Vec<FlowRecord> = flows
@@ -417,7 +424,8 @@ proptest! {
         let trace = Trace::new(TraceMeta::default(), records.clone());
         let topo = Topology::star(6, 1e9);
         let mut source = TraceSource::new(&trace, &topo).unwrap();
-        let report = replay_source(&topo, &mut source, SimOptions::default());
+        let report =
+            replay_source_observed(&topo, &mut source, SimOptions::default(), &Obs::disabled());
 
         // Every flow ran exactly once; per-component bytes survive.
         prop_assert_eq!(report.sim.results.len(), records.len());
@@ -473,9 +481,9 @@ proptest! {
     ) {
         use keddah::faults::{FaultKind, FaultSpec, TimedFault};
         use keddah::netsim::{
-            simulate_faulted, FlowId, FlowResult, FlowSpec, HostId, SimOptions, Topology,
-            TrafficSource,
+            simulate, FlowId, FlowResult, FlowSpec, HostId, SimOptions, Topology, TrafficSource,
         };
+        use keddah::obs::Obs;
 
         /// Chains a dependent flow onto each completion (bounded) and
         /// optionally re-issues aborted transfers once, tracking its own
@@ -562,7 +570,8 @@ proptest! {
             injected_bytes: 0,
             aborts_heard: 0,
         };
-        let report = simulate_faulted(&topo, &mut source, &spec.schedule(), SimOptions::default());
+        let (schedule, opts) = (spec.schedule(), SimOptions::default());
+        let report = simulate(&topo, &mut source, &schedule, opts, &Obs::disabled());
         let stats = &report.faults;
 
         prop_assert!(!stats.diverged, "solver made progress");

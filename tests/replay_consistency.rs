@@ -7,8 +7,13 @@
 use keddah::core::pipeline::Keddah;
 use keddah::core::replay::jobs_to_flows;
 use keddah::des::{Duration, SimTime};
+use keddah::faults::FaultSchedule;
 use keddah::hadoop::{ClusterSpec, HadoopConfig, JobSpec, Workload};
-use keddah::netsim::{simulate, simulate_tcp, FlowSpec, HostId, SimOptions, TcpOptions, Topology};
+use keddah::netsim::{
+    simulate, simulate_tcp, FlowSpec, HostId, SimOptions, SimReport, StaticSource, TcpOptions,
+    Topology,
+};
+use keddah::obs::Obs;
 
 fn generated_flows(topo: &Topology) -> Vec<FlowSpec> {
     let traces = Keddah::capture(
@@ -27,8 +32,14 @@ fn generated_flows(topo: &Topology) -> Vec<FlowSpec> {
         .collect()
 }
 
+/// Open-loop, fault-free fluid run of a fixed flow list.
+fn fluid(topo: &Topology, flows: &[FlowSpec], options: SimOptions) -> SimReport {
+    let (mut source, sched) = (StaticSource::new(flows.to_vec()), FaultSchedule::empty());
+    simulate(topo, &mut source, &sched, options, &Obs::disabled())
+}
+
 fn mean_fct_fluid(topo: &Topology, flows: &[FlowSpec]) -> f64 {
-    let fcts = simulate(topo, flows, SimOptions::default()).fcts();
+    let fcts = fluid(topo, flows, SimOptions::default()).fcts();
     fcts.iter().sum::<f64>() / fcts.len() as f64
 }
 
@@ -138,7 +149,7 @@ fn static_source_is_byte_identical_to_pre_refactor_loop() {
     ];
     let topo = Topology::star(8, 1e9);
     let flows = fixture_flows(8, 24, 42);
-    let report = simulate(&topo, &flows, SimOptions::default());
+    let report = fluid(&topo, &flows, SimOptions::default());
     let got: Vec<u64> = report.results.iter().map(|r| r.finish.as_nanos()).collect();
     assert_eq!(got, STAR_FINISH_NANOS.to_vec());
 
@@ -183,14 +194,14 @@ fn static_source_is_byte_identical_to_pre_refactor_loop() {
         propagation: Duration::from_micros(100),
         ..SimOptions::default()
     };
-    let report = simulate(&topo, &flows, opts);
+    let report = fluid(&topo, &flows, opts);
     let got: Vec<u64> = report.results.iter().map(|r| r.finish.as_nanos()).collect();
     assert_eq!(got, LEAF_SPINE_FINISH_NANOS.to_vec());
 }
 
 #[test]
 fn closed_loop_shifts_dependent_starts_under_congestion() {
-    use keddah::core::replay::replay_source;
+    use keddah::core::replay::{replay_source_observed, trace_to_flows};
     use keddah::core::source::TraceSource;
 
     // Capture on a non-blocking testbed, replay on a heavily
@@ -211,12 +222,12 @@ fn closed_loop_shifts_dependent_starts_under_congestion() {
 
     let mut source = TraceSource::new(trace, &topo).expect("trace fits");
     assert!(source.dependent_count() > 0, "trace has dependency edges");
-    let open = simulate(
+    let open = fluid(
         &topo,
-        &keddah::core::replay::trace_to_flows(trace, &topo).expect("trace fits"),
+        &trace_to_flows(trace, &topo).expect("trace fits"),
         opts,
     );
-    let closed = replay_source(&topo, &mut source, opts);
+    let closed = replay_source_observed(&topo, &mut source, opts, &Obs::disabled());
 
     // Map each dependent entry to its closed-loop start and compare with
     // its captured (zero-shifted) start, which is what open loop used.
@@ -272,7 +283,7 @@ fn models_agree_on_aggregate_throughput() {
     let topo = Topology::star(10, 1e9);
     let flows = generated_flows(&topo);
     let bytes: f64 = flows.iter().map(|f| f.bytes as f64).sum();
-    let fluid = simulate(&topo, &flows, SimOptions::default());
+    let fluid = fluid(&topo, &flows, SimOptions::default());
     let tcp = simulate_tcp(&topo, &flows, TcpOptions::default());
     let tput_fluid = bytes / fluid.makespan().as_secs_f64();
     let tput_tcp = bytes / tcp.makespan().as_secs_f64();
