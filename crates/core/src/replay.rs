@@ -28,13 +28,18 @@
 //! byte-identical to a fault-free run, which [`replay_source_observed`]
 //! is shorthand for.
 //!
-//! Every replay takes [`SimOptions`], whose performance fields —
-//! [`SimOptions::aggregate`] (flow bundles), [`SimOptions::solver_jobs`]
-//! (parallel fair-share component solves; `1` is sequential) and
-//! [`SimOptions::full_recompute`] — trade wall-clock only: replay reports
-//! are byte-identical at every setting, which is what lets DC-scale
-//! replays default to the fast path while the golden corpus pins
-//! correctness against the oracles.
+//! Every replay takes [`SimOptions`], whose performance fields trade
+//! wall-clock only:
+//!
+//! - [`SimOptions::aggregate`] collapses same-path flows into bundles;
+//! - [`SimOptions::solver_jobs`] fans the independent components of one
+//!   fair-share solve out over threads (`1` is sequential);
+//! - [`SimOptions::full_recompute`] re-solves every component on every
+//!   event instead of only the ones an event dirtied.
+//!
+//! Replay reports are byte-identical at every setting. That lets
+//! DC-scale replays default to the fast path while the golden corpus
+//! pins correctness against the oracles.
 
 use std::collections::{BTreeMap, HashSet};
 

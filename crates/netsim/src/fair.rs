@@ -35,8 +35,8 @@
 //! Hence a flow's rate is a function of its component only, and cached
 //! rates of untouched components remain exactly what a from-scratch
 //! solve would produce. The property test
-//! `fair_share_state_matches_full_recompute` pins this with exact
-//! (bitwise) equality, well inside the 1e-9 budget.
+//! `incremental_fair_share_matches_full` pins this with exact (bitwise)
+//! equality, well inside the 1e-9 budget.
 //!
 //! # Weighted entries (flow bundles)
 //!
@@ -64,13 +64,14 @@
 //!
 //! # Parallel component solves
 //!
-//! [`with_parallel`](FairShareState::with_parallel) lets the dense
-//! (full-refill) path solve independent components on scoped threads.
-//! Components are link-disjoint, so their solves share no state; results
-//! are merged in ascending component index. By the equivalence argument
-//! above the rates are bit-identical at any thread count — the
-//! determinism suite pins solver width (including the sequential
-//! `solver_jobs: 1` oracle) as a no-op on replay output.
+//! [`with_parallel`](FairShareState::with_parallel) lets a mutation whose
+//! dirty set spans several components (every component, under full
+//! recompute) solve them on scoped threads. Components are
+//! link-disjoint, so their solves share no state and each writes back
+//! only its own entries' rates. By the equivalence argument above the
+//! rates are bit-identical at any thread count — the determinism suite
+//! pins solver width (including the sequential `solver_jobs: 1` oracle)
+//! as a no-op on replay output.
 //!
 //! [`insert_flow`]: FairShareState::insert_flow
 //! [`insert_weighted`]: FairShareState::insert_weighted
@@ -191,13 +192,10 @@ struct FlowSlot {
 /// Incremental max-min fair allocator.
 ///
 /// Maintains the active flow set, per-link flow adjacency and per-flow
-/// rates across mutations. Inserting or removing a flow re-solves only
-/// the affected component (flows transitively sharing links with the
-/// mutated flow); when that dirty set exceeds
-/// [`fallback_threshold`](Self::with_fallback_threshold) of the active
-/// flows — or when full recompute is forced — the whole set is refilled
-/// with dense per-link arrays instead, which produces the same rates at
-/// a lower constant factor.
+/// rates across mutations. Every mutation re-solves only the affected
+/// components (entries transitively sharing links with the mutated one),
+/// each with the same weighted progressive fill; forcing full recompute
+/// re-solves every component instead, with identical rates.
 ///
 /// # Examples
 ///
@@ -220,9 +218,6 @@ pub struct FairShareState {
     capacities: Vec<f64>,
     local_bps: f64,
     full_recompute: bool,
-    /// Dirty-set fraction above which [`fill_dense`](Self::fill_dense)
-    /// replaces the component-local solve.
-    fallback_threshold: f64,
     slots: Vec<FlowSlot>,
     rates: Vec<f64>,
     free: Vec<u32>,
@@ -231,10 +226,7 @@ pub struct FairShareState {
     link_flows: Vec<Vec<u32>>,
     /// Active member flows (weights summed), local (link-less) included.
     active: usize,
-    /// Active *entries* (not members) that traverse at least one link —
-    /// the dense-fallback heuristic's denominator.
-    active_on_links: usize,
-    /// Scoped threads the dense path may fan components out over
+    /// Scoped threads a multi-component solve may fan out over
     /// (1 = sequential). Rates are identical at any width.
     parallel: usize,
 
@@ -249,7 +241,6 @@ pub struct FairShareState {
     // Instrumentation for benches and the DESIGN ablation.
     solves: u64,
     solved_flows: u64,
-    dense_solves: u64,
 }
 
 impl FairShareState {
@@ -262,13 +253,11 @@ impl FairShareState {
             capacities,
             local_bps,
             full_recompute: false,
-            fallback_threshold: 0.75,
             slots: Vec::new(),
             rates: Vec::new(),
             free: Vec::new(),
             link_flows: vec![Vec::new(); n_links],
             active: 0,
-            active_on_links: 0,
             parallel: 1,
             stamp: 0,
             flow_mark: Vec::new(),
@@ -277,7 +266,6 @@ impl FairShareState {
             link_local: vec![0; n_links],
             solves: 0,
             solved_flows: 0,
-            dense_solves: 0,
         }
     }
 
@@ -291,17 +279,10 @@ impl FairShareState {
         self
     }
 
-    /// Sets the dirty-set fraction above which a mutation falls back to
-    /// dense full filling (clamped to `(0, 1]`; default 0.75).
-    #[must_use]
-    pub fn with_fallback_threshold(mut self, frac: f64) -> Self {
-        self.fallback_threshold = frac.clamp(f64::MIN_POSITIVE, 1.0);
-        self
-    }
-
-    /// Lets dense refills solve independent components on up to `jobs`
-    /// scoped threads (see the module's parallel-solve section). Rates
-    /// are bit-identical at any width; 1 (the default) is sequential.
+    /// Lets a solve spanning several components fan them out over up to
+    /// `jobs` scoped threads (see the module's parallel-solve section).
+    /// Rates are bit-identical at any width; 1 (the default) is
+    /// sequential.
     #[must_use]
     pub fn with_parallel(mut self, jobs: usize) -> Self {
         self.parallel = jobs.max(1);
@@ -357,7 +338,6 @@ impl FairShareState {
             self.rates[id as usize] = self.local_bps;
             return FairFlowId(id);
         }
-        self.active_on_links += 1;
         for &l in links {
             self.link_flows[l as usize].push(id);
         }
@@ -446,21 +426,11 @@ impl FairShareState {
         self.slots[slot].weight = 0;
         let links = std::mem::take(&mut self.slots[slot].links);
         self.free.push(id.0);
-        if links.is_empty() {
-            return;
-        }
-        self.active_on_links -= 1;
-        // Collect the orphaned neighbours before dropping the adjacency.
-        self.stamp += 1;
+        // The orphaned neighbours seed the walk; repeats are skipped there.
         let mut seeds: Vec<u32> = Vec::new();
         for &l in &links {
             self.link_flows[l as usize].retain(|&f| f != id.0);
-            for &f in &self.link_flows[l as usize] {
-                if self.flow_mark[f as usize] != self.stamp {
-                    self.flow_mark[f as usize] = self.stamp;
-                    seeds.push(f);
-                }
-            }
+            seeds.extend_from_slice(&self.link_flows[l as usize]);
         }
         if !seeds.is_empty() {
             self.resolve_around(&seeds);
@@ -471,7 +441,7 @@ impl FairShareState {
     /// downed link at 0) and re-solves only the component sharing it:
     /// the link's flows seed the dirty set exactly like an arrival on
     /// that link would, so the incremental allocator absorbs fault
-    /// events without a dense refill. With no flows on the link this is
+    /// events without a full refill. With no flows on the link this is
     /// a pure bookkeeping update.
     ///
     /// # Panics
@@ -527,120 +497,46 @@ impl FairShareState {
         self.active
     }
 
-    /// Total component solves performed, dense fallbacks included.
+    /// Total solves performed: one per mutation that had linked entries
+    /// to re-rate.
     #[must_use]
     pub fn solves(&self) -> u64 {
         self.solves
     }
 
-    /// Total flow rates written across all solves — the incremental
-    /// path's work metric (the full-recompute path re-writes every
-    /// active flow on every event).
+    /// Total entry rates written across all solves — the work metric
+    /// (under full recompute every active entry is re-written on every
+    /// mutation).
     #[must_use]
     pub fn solved_flows(&self) -> u64 {
         self.solved_flows
     }
 
-    /// How many solves fell back to dense full filling.
-    #[must_use]
-    pub fn dense_solves(&self) -> u64 {
-        self.dense_solves
-    }
-
-    /// Re-solves the component reachable from `seeds` (flows), or
-    /// everything via the dense path when the dirty set is large enough
-    /// that component bookkeeping stops paying for itself.
+    /// Re-solves every link-connected component reachable from `seeds`
+    /// (entries), or from every live entry under full recompute. A BFS
+    /// from each unvisited start collects one component, and each is
+    /// filled independently (on scoped threads when
+    /// [`with_parallel`](Self::with_parallel) allows). Per the module's
+    /// equivalence argument the rates are bit-identical to
+    /// [`max_min_rates`] over the active set, and untouched components
+    /// keep theirs.
     fn resolve_around(&mut self, seeds: &[u32]) {
-        if self.full_recompute {
-            self.fill_dense();
-            return;
-        }
-        // BFS over the flow/link sharing graph. `flow_local` doubles as
-        // the local index map for the fill; `link_local` likewise.
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let mut members: Vec<u32> = Vec::with_capacity(seeds.len());
-        let mut comp_links: Vec<u32> = Vec::new();
-        for &f in seeds {
-            if self.flow_mark[f as usize] != stamp {
-                self.flow_mark[f as usize] = stamp;
-                self.flow_local[f as usize] = members.len() as u32;
-                members.push(f);
-            }
-        }
-        let mut head = 0usize;
-        while head < members.len() {
-            let f = members[head] as usize;
-            head += 1;
-            for li in 0..self.slots[f].links.len() {
-                let l = self.slots[f].links[li] as usize;
-                if self.link_mark[l] != stamp {
-                    self.link_mark[l] = stamp;
-                    self.link_local[l] = comp_links.len() as u32;
-                    comp_links.push(l as u32);
-                    for gi in 0..self.link_flows[l].len() {
-                        let g = self.link_flows[l][gi] as usize;
-                        if self.flow_mark[g] != stamp {
-                            self.flow_mark[g] = stamp;
-                            self.flow_local[g] = members.len() as u32;
-                            members.push(g as u32);
-                        }
-                    }
-                }
-            }
-        }
-        // Dense fallback: once the dirty set is most of the active flows
-        // (and big enough for the local index maps to cost more than
-        // they save), plain full filling has the lower constant factor.
-        let dirty_frac = members.len() as f64 / self.active_on_links.max(1) as f64;
-        if members.len() >= 64 && dirty_frac > self.fallback_threshold {
-            self.fill_dense();
+        self.solves += 1;
+        let (seeds, every): (&[u32], u32) = if self.full_recompute {
+            (&[], self.slots.len() as u32)
         } else {
-            self.fill_local(&members, &comp_links);
-        }
-    }
-
-    /// Progressive filling restricted to one component, with the
-    /// component's links remapped to dense local indices. Reproduces
-    /// [`max_min_rates`]'s arithmetic exactly: identical share
-    /// divisions, identical subtraction-and-clamp updates, and the same
-    /// bottleneck tie-break (lowest *global* link index).
-    fn fill_local(&mut self, members: &[u32], comp_links: &[u32]) {
-        self.solves += 1;
-        self.solved_flows += members.len() as u64;
-        let out = solve_component(
-            &self.slots,
-            &self.link_flows,
-            &self.capacities,
-            &self.flow_local,
-            &self.link_local,
-            members,
-            comp_links,
-        );
-        for (&f, &r) in members.iter().zip(&out) {
-            self.rates[f as usize] = r;
-        }
-    }
-
-    /// Dense full refill: decomposes the active graph into
-    /// link-connected components and fills each independently (on scoped
-    /// threads when [`with_parallel`](Self::with_parallel) allows),
-    /// merging rates in ascending component index. Per the module's
-    /// equivalence argument this is bit-identical to one global
-    /// progressive fill, and to [`max_min_rates`] over the active set.
-    fn fill_dense(&mut self) {
-        self.solves += 1;
-        self.dense_solves += 1;
-        // Decomposition: BFS from each unvisited linked entry, in slot
-        // order, writing component-relative local indices into the
-        // stamped maps. Flattened storage, one (member, link) range per
+            (seeds, 0)
+        };
+        // Stamped BFS writing component-relative local indices into the
+        // scratch maps. Flattened storage, one (member, link) range per
         // component.
         self.stamp += 1;
         let stamp = self.stamp;
         let mut members: Vec<u32> = Vec::new();
         let mut links: Vec<u32> = Vec::new();
         let mut comps: Vec<(usize, usize, usize, usize)> = Vec::new();
-        for start in 0..self.slots.len() {
+        for start in seeds.iter().copied().chain(0..every) {
+            let start = start as usize;
             if !self.slots[start].alive
                 || self.slots[start].links.is_empty()
                 || self.flow_mark[start] == stamp
@@ -677,70 +573,48 @@ impl FairShareState {
         self.solved_flows += members.len() as u64;
 
         // Components are link-disjoint, so solving them in parallel
-        // shares no state; the spawn gate only avoids thread overhead on
-        // small refills (rates are identical either way).
-        let jobs = self.parallel.min(comps.len()).max(1);
-        if jobs > 1 && members.len() >= 64 {
-            let (slots, link_flows, capacities) = (&self.slots, &self.link_flows, &self.capacities);
-            let (flow_local, link_local) = (&self.flow_local, &self.link_local);
-            let (members_ref, links_ref, comps_ref) = (&members, &links, &comps);
-            let solved: Vec<Vec<(usize, Vec<f64>)>> = std::thread::scope(|s| {
+        // shares no state and the rates can be written back in any order;
+        // the spawn gate only avoids thread overhead on small solves
+        // (rates are identical either way).
+        let solve = |ci: usize| {
+            let (ms, me, ls, le) = comps[ci];
+            solve_component(
+                &self.slots,
+                &self.link_flows,
+                &self.capacities,
+                &self.flow_local,
+                &self.link_local,
+                &members[ms..me],
+                &links[ls..le],
+            )
+        };
+        let n = comps.len();
+        let jobs = self.parallel.min(n).max(1);
+        let solved: Vec<(usize, Vec<f64>)> = if jobs > 1 && members.len() >= 64 {
+            let solve = &solve;
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..jobs)
                     .map(|tid| {
                         s.spawn(move || {
-                            comps_ref
-                                .iter()
-                                .enumerate()
-                                .filter(|(ci, _)| ci % jobs == tid)
-                                .map(|(ci, &(ms, me, ls, le))| {
-                                    (
-                                        ci,
-                                        solve_component(
-                                            slots,
-                                            link_flows,
-                                            capacities,
-                                            flow_local,
-                                            link_local,
-                                            &members_ref[ms..me],
-                                            &links_ref[ls..le],
-                                        ),
-                                    )
-                                })
-                                .collect()
+                            (tid..n)
+                                .step_by(jobs)
+                                .map(|ci| (ci, solve(ci)))
+                                .collect::<Vec<_>>()
                         })
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("component solver thread"))
+                    .flat_map(|h| h.join().expect("component solver thread"))
                     .collect()
-            });
-            // Deterministic merge: ascending component index. The slots
-            // are disjoint, so this fixes presentation order only.
-            let mut per_comp: Vec<Option<Vec<f64>>> = vec![None; comps.len()];
-            for (ci, out) in solved.into_iter().flatten() {
-                per_comp[ci] = Some(out);
-            }
-            for (ci, &(ms, me, _, _)) in comps.iter().enumerate() {
-                let out = per_comp[ci].take().expect("every component solved");
-                for (&f, r) in members[ms..me].iter().zip(out) {
-                    self.rates[f as usize] = r;
-                }
-            }
+            })
         } else {
-            for &(ms, me, ls, le) in &comps {
-                let out = solve_component(
-                    &self.slots,
-                    &self.link_flows,
-                    &self.capacities,
-                    &self.flow_local,
-                    &self.link_local,
-                    &members[ms..me],
-                    &links[ls..le],
-                );
-                for (&f, &r) in members[ms..me].iter().zip(&out) {
-                    self.rates[f as usize] = r;
-                }
+            (0..n).map(|ci| (ci, solve(ci))).collect()
+        };
+        for (ci, out) in solved {
+            let (ms, me, _, _) = comps[ci];
+            for (&f, r) in members[ms..me].iter().zip(out) {
+                self.rates[f as usize] = r;
             }
         }
     }
@@ -877,8 +751,8 @@ mod tests {
     #[test]
     fn set_capacity_rescales_only_the_affected_component() {
         // Two links, two isolated flows. Degrading link 0 must re-rate
-        // its flow and leave the other component untouched, on both the
-        // incremental and the dense-oracle paths.
+        // its flow and leave the other component untouched, both
+        // incrementally and under the full-recompute oracle.
         for full in [false, true] {
             let mut state = FairShareState::new(vec![10.0, 6.0], 100.0).with_full_recompute(full);
             let f0 = state.insert_flow(&[0]);
@@ -994,14 +868,23 @@ mod tests {
 
     #[test]
     fn state_matches_full_under_forced_full_recompute() {
-        let caps = [8.0, 3.0];
+        // Two disjoint components: under the oracle every mutation is one
+        // solve that re-rates every active entry, not just the dirty one.
+        let caps = [8.0, 3.0, 5.0];
         let mut state = FairShareState::new(caps.to_vec(), 50.0).with_full_recompute(true);
-        let a = state.insert_flow(&[0]);
-        let b = state.insert_flow(&[0, 1]);
-        let full = max_min_rates(&[vec![0], vec![0, 1]], &caps, 50.0);
-        assert_eq!(state.rate(a), full[0]);
-        assert_eq!(state.rate(b), full[1]);
-        assert!(state.dense_solves() >= 2, "forced path is always dense");
+        let mut ids = Vec::new();
+        for links in [vec![0], vec![0, 1], vec![2]] {
+            let (solves, solved) = (state.solves(), state.solved_flows());
+            ids.push(state.insert_flow(&links));
+            assert_eq!(state.solves() - solves, 1);
+            assert_eq!(state.solved_flows() - solved, ids.len() as u64);
+        }
+        let full = max_min_rates(&[vec![0], vec![0, 1], vec![2]], &caps, 50.0);
+        let rates: Vec<f64> = ids.iter().map(|&id| state.rate(id)).collect();
+        assert_eq!(rates, full);
+        let solved = state.solved_flows();
+        state.remove_flow(ids[0]);
+        assert_eq!(state.solved_flows() - solved, 2, "both survivors re-rated");
     }
 
     #[test]
@@ -1057,6 +940,23 @@ mod tests {
             1,
             "removal left no neighbours"
         );
+    }
+
+    #[test]
+    fn only_the_dirty_component_is_solved_however_large() {
+        // The dirty component is 71 of 81 linked entries after the insert,
+        // yet the untouched component on link 1 is not re-solved.
+        let mut state = FairShareState::new(vec![10.0, 10.0], 1e10);
+        for _ in 0..70 {
+            state.insert_flow(&[0]);
+        }
+        for _ in 0..10 {
+            state.insert_flow(&[1]);
+        }
+        let before = state.solved_flows();
+        let id = state.insert_flow(&[0]);
+        assert_eq!(state.solved_flows() - before, 71);
+        assert_eq!(state.rate(id), 10.0 / 71.0);
     }
 
     #[test]
@@ -1183,13 +1083,15 @@ mod tests {
 
     #[test]
     fn parallel_dense_solve_is_bit_identical() {
-        // Many disjoint components, forced through the dense path at
-        // widths 1 and 8: identical rates, bit for bit.
+        // Two-link bridges join the links into one ring as they arrive
+        // and split it into many components as they leave, so both
+        // directions pass through multi-component solves. Widths 1 and 8,
+        // incremental and full recompute: identical rates, bit for bit.
         let n_links = 40usize;
         let caps: Vec<f64> = (0..n_links).map(|l| 1e9 + l as f64 * 3.7e7).collect();
-        let build = |jobs: usize| {
+        let build = |jobs: usize, full: bool| {
             let mut state = FairShareState::new(caps.clone(), 1e10)
-                .with_full_recompute(true)
+                .with_full_recompute(full)
                 .with_parallel(jobs);
             let mut ids = Vec::new();
             for i in 0..128u32 {
@@ -1201,13 +1103,19 @@ mod tests {
                 };
                 ids.push(state.insert_weighted(&links, 1 + i % 4));
             }
-            ids.iter().map(|&id| state.rate(id)).collect::<Vec<f64>>()
+            let mut rates: Vec<f64> = ids.iter().map(|&id| state.rate(id)).collect();
+            for &bridge in ids.iter().step_by(3) {
+                state.remove_flow(bridge);
+                rates.extend(ids.iter().skip(1).step_by(3).map(|&id| state.rate(id)));
+            }
+            rates
         };
-        let seq = build(1);
-        let par = build(8);
-        assert!(
-            seq.iter().zip(&par).all(|(a, b)| a == b),
-            "parallel dense solve diverged"
-        );
+        let seq = build(1, true);
+        for (jobs, full) in [(8, true), (1, false), (8, false)] {
+            assert!(
+                seq == build(jobs, full),
+                "width {jobs}, full recompute {full}: solve diverged"
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use keddah_des::{Duration, Engine, SimTime};
+use keddah_des::{Duration, Engine, EventQueue, SimTime};
 use keddah_faults::{FaultKind, FaultSchedule};
 use keddah_obs::Obs;
 use serde::{Deserialize, Serialize};
@@ -105,11 +105,12 @@ pub struct SimOptions {
     /// Completion times are identical either way (integer service
     /// accounting; see the module docs). On by default.
     pub aggregate: bool,
-    /// Scoped threads dense fair-share refills may fan independent
-    /// components out over. `0` (the default) auto-sizes from the host;
-    /// rates — and hence replay output — are byte-identical at any
-    /// width. `1` forces sequential solves, the oracle the determinism
-    /// suite compares against.
+    /// Scoped threads a fair-share solve may fan its independent
+    /// components out over when a mutation dirties several (every
+    /// component, under `full_recompute`). `0` (the default) auto-sizes
+    /// from the host; rates — and hence replay output — are
+    /// byte-identical at any width. `1` forces sequential solves, the
+    /// oracle the determinism suite compares against.
     pub solver_jobs: usize,
 }
 
@@ -363,6 +364,27 @@ fn leave_bundle(
     rem_q
 }
 
+/// Appends flows a source issued at `t` to the arena and schedules
+/// their arrivals. A flow cannot start before the event that issued it,
+/// so starts in the simulated past clamp to `t`.
+fn inject(
+    specs: Vec<FlowSpec>,
+    t: SimTime,
+    flows: &mut Vec<FlowSpec>,
+    results: &mut Vec<Option<FlowResult>>,
+    member_of: &mut Vec<Option<(u32, u128)>>,
+    queue: &mut EventQueue<Ev>,
+) {
+    for mut spec in specs {
+        spec.start = spec.start.max(t);
+        let id = flows.len();
+        flows.push(spec);
+        results.push(None);
+        member_of.push(None);
+        queue.push(spec.start, Ev::Arrive { id });
+    }
+}
+
 /// Engine events of the fluid loop. Nanosecond timestamps order events;
 /// the precise `f64` times ride in the payloads so drain arithmetic never
 /// quantizes.
@@ -551,17 +573,8 @@ pub fn simulate(
                 // Completion callback: the source may release dependents.
                 events += 1;
                 let result = results[id].expect("notified flow has a result");
-                for mut spec in source.on_flow_complete(FlowId(id), &result) {
-                    // A dependent flow cannot start before its trigger.
-                    if spec.start < t {
-                        spec.start = t;
-                    }
-                    let id = flows.len();
-                    flows.push(spec);
-                    results.push(None);
-                    member_of.push(None);
-                    queue.push(spec.start, Ev::Arrive { id });
-                }
+                let released = source.on_flow_complete(FlowId(id), &result);
+                inject(released, t, &mut flows, &mut results, &mut member_of, queue);
                 return; // fluid state untouched
             }
             Ev::Fault { idx } => schedule.events()[idx].at().as_secs_f64(),
@@ -704,16 +717,8 @@ pub fn simulate(
                     let result = FlowResult { spec, finish: t };
                     results[id] = Some(result);
                     if !diverged {
-                        for mut child in source.on_flow_aborted(FlowId(id), &result, spec.bytes) {
-                            if child.start < t {
-                                child.start = t;
-                            }
-                            let child_id = flows.len();
-                            flows.push(child);
-                            results.push(None);
-                            member_of.push(None);
-                            queue.push(child.start, Ev::Arrive { id: child_id });
-                        }
+                        let reissued = source.on_flow_aborted(FlowId(id), &result, spec.bytes);
+                        inject(reissued, t, &mut flows, &mut results, &mut member_of, queue);
                     }
                 } else {
                     for &l in &links {
@@ -978,16 +983,8 @@ pub fn simulate(
                     let finish = SimTime::from_secs_f64(now).max(t);
                     let result = FlowResult { spec, finish };
                     results[id] = Some(result);
-                    for mut child in source.on_flow_aborted(FlowId(id), &result, lost) {
-                        if child.start < t {
-                            child.start = t;
-                        }
-                        let child_id = flows.len();
-                        flows.push(child);
-                        results.push(None);
-                        member_of.push(None);
-                        queue.push(child.start, Ev::Arrive { id: child_id });
-                    }
+                    let reissued = source.on_flow_aborted(FlowId(id), &result, lost);
+                    inject(reissued, t, &mut flows, &mut results, &mut member_of, queue);
                 }
                 if let Some(l) = reroute_mask {
                     // Zero the dead link's share only after its bundles
@@ -1031,8 +1028,6 @@ pub fn simulate(
         obs.gauge("netsim", "fair_solves").set_max(fair.solves());
         obs.gauge("netsim", "fair_solved_flows")
             .set_max(fair.solved_flows());
-        obs.gauge("netsim", "fair_dense_solves")
-            .set_max(fair.dense_solves());
         // The `faults` counters mirror the returned FaultStats exactly —
         // consumers can cross-check metrics.json against the report.
         obs.add("faults", "faults_applied", fstats.faults_applied);

@@ -187,12 +187,46 @@ fn error_paths_are_reported() {
 #[test]
 fn deeply_nested_json_is_a_parse_error_not_a_crash() {
     let dir = tmp_dir("deep-json");
+    let nest = "[".repeat(100_000) + &"]".repeat(100_000);
+    let fixture = format!(
+        "{}/tests/fixtures/terasort.jsonl",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let fixture = std::fs::read_to_string(fixture).expect("read fixture");
+    let header = fixture.lines().next().expect("trace header");
     let deep = dir.join("deep.json");
-    std::fs::write(&deep, "[".repeat(100_000) + &"]".repeat(100_000)).expect("write");
-    for command in [&["faults", "show"][..], &["stats"]] {
+    let deep_header = dir.join("deep_header.jsonl");
+    let deep_record = dir.join("deep_record.jsonl");
+    std::fs::write(&deep, &nest).expect("write");
+    std::fs::write(&deep_header, format!("{nest}\n")).expect("write");
+    std::fs::write(&deep_record, format!("{header}\n{nest}\n")).expect("write");
+    let model = dir.join("model.json");
+    let (deep, deep_header, deep_record, model) = (
+        deep.to_str().unwrap(),
+        deep_header.to_str().unwrap(),
+        deep_record.to_str().unwrap(),
+        model.to_str().unwrap(),
+    );
+    let commands: [&[&str]; 9] = [
+        &["faults", "show", deep],
+        &["stats", deep],
+        &["inspect", deep],
+        &["generate", "--model", deep],
+        &["replay", "--model", deep, "--topology", "star:8"],
+        &["fit", "--out", model, deep_header],
+        &["replay", "--trace", deep_header, "--topology", "star:8"],
+        &[
+            "diagnose",
+            "--trace",
+            deep_header,
+            "--baseline-trace",
+            deep_header,
+        ],
+        &["fit", "--out", model, deep_record],
+    ];
+    for command in commands {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_keddah"))
             .args(command)
-            .arg(&deep)
             .output()
             .expect("keddah runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -493,6 +527,52 @@ fn serve_daemon_end_to_end() {
     assert_eq!(snap.counter("stream", "http_malformed"), 1);
     assert!(snap.counter("stream", "flows_completed") > 0);
 
+    // Crash regression: JSON nested 100k levels deep in a record and in
+    // a header. The deep record is skipped like a torn one, so its run
+    // completes flowless and refits once; the deep header leaves nothing
+    // to attribute, so that run is refused and the model stays put. The
+    // daemon stays up throughout.
+    let counter = |snap: &keddah::obs::MetricsSnapshot, name| snap.counter("stream", name);
+    let metrics = || {
+        keddah::obs::MetricsSnapshot::from_json(&http_get(&addr, "/metrics").1)
+            .expect("metrics parse")
+    };
+    let nest = "[".repeat(100_000) + &"]".repeat(100_000);
+    let capture = std::fs::read_to_string(&trace_files[0]).expect("read trace");
+    let header = capture.lines().next().expect("trace header");
+    let deep_record = dir.join("deep_record.jsonl");
+    std::fs::write(&deep_record, format!("{header}\n{nest}\n")).expect("write");
+    rotate_in(&deep_record, &watch, "cap.3.jsonl");
+    wait_until("generation 4", || {
+        (status_generation(&addr) >= 4).then_some(())
+    });
+    let before = metrics();
+    assert_eq!(
+        counter(&before, "parse_errors"),
+        counter(&snap, "parse_errors") + 1,
+        "the deep record"
+    );
+    let deep_header = dir.join("deep_header.jsonl");
+    std::fs::write(&deep_header, format!("{nest}\n")).expect("write");
+    rotate_in(&deep_header, &watch, "cap.4.jsonl");
+    let after = wait_until("deep header refused", || {
+        let now = metrics();
+        (counter(&now, "malformed_runs") > counter(&before, "malformed_runs")).then_some(now)
+    });
+    assert_eq!(
+        counter(&after, "malformed_runs"),
+        counter(&before, "malformed_runs") + 1
+    );
+    assert_eq!(
+        counter(&after, "parse_errors"),
+        counter(&before, "parse_errors")
+    );
+    assert_eq!(after.gauge("stream", "model_generation"), 4);
+    assert_eq!(status_generation(&addr), 4, "refused run leaves the model");
+    let (status, body) = http_get(&addr, "/healthz");
+    assert!(status.contains("200"), "alive after deep nesting: {status}");
+    assert_eq!(body, "ok\n");
+
     // SIGTERM: clean shutdown, thread joins Ok, final metrics written.
     extern "C" {
         fn raise(signum: i32) -> i32;
@@ -508,7 +588,7 @@ fn serve_daemon_end_to_end() {
         &std::fs::read_to_string(&metrics_file).expect("metrics written on shutdown"),
     )
     .expect("final metrics parse");
-    assert_eq!(final_snap.counter("stream", "runs_ingested"), 3);
+    assert_eq!(final_snap.counter("stream", "runs_ingested"), 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
