@@ -14,10 +14,10 @@
 //! single weighted fair-share entry plus a cumulative *service curve*
 //! counting the bits each member slot has been served. Per-flow state
 //! reduces to one number — the absolute service target at which the
-//! flow's payload is done — so the per-event work (draining, completion
-//! prediction, retirement scan) is O(live bundles), not O(active flows).
-//! DC-scale replays have hundreds of distinct paths carrying hundreds of
-//! thousands of flows, which is what removes the 100k-flow cliff.
+//! flow's payload is done — so the retirement scan and the fault scans
+//! are O(live bundles), not O(active flows). DC-scale replays have
+//! hundreds of distinct paths carrying hundreds of thousands of flows,
+//! which is what removes the 100k-flow cliff.
 //!
 //! Service accounting is integer (Q64 fixed point, see [`Q_SCALE`]), so
 //! grouping flows into bundles — or not, via the [`SimOptions::aggregate`]
@@ -25,8 +25,42 @@
 //! golden-replay corpus and the determinism suite pin byte-identical
 //! reports across the aggregation, solver-parallelism and full-recompute
 //! fields.
+//!
+//! # Rate classes
+//!
+//! Most events change no rate: a mice arrival, a doomed arrival or a
+//! `NodeRecover` leaves every fair share where it was. The live bundles'
+//! hot state (head target, service, fair entry) sits in a live table
+//! ([`Live`]) whose entries are grouped into *rate classes*, keyed by
+//! the exact bits of the per-member rate. Each class keeps one saturating
+//! Q64 accumulator `acc` and the minimum remainder key `head ⊖ base`
+//! over its members, and a bundle's service is `base ⊕ acc[class]`.
+//! Advancing the clock adds one increment per class; predicting the next
+//! completion evaluates one `now + q_to_bits(key ⊖ acc) / rate` per
+//! class. Both are bit-identical to the per-bundle loops they replace:
+//!
+//! - saturating addition on naturals is associative,
+//!   `(a ⊕ b) ⊕ c = min(a + b + c, MAX) = a ⊕ (b ⊕ c)`, so a class
+//!   accumulator reproduces every member's per-event increment sequence
+//!   exactly;
+//! - within a class `key ⊖ acc` equals each member's `head ⊖ service`,
+//!   saturation included, and `rem ↦ now + q_to_bits(rem) / rate` is
+//!   monotone under round-to-nearest, so the class minimum is the
+//!   minimum over its members.
+//!
+//! The first join, leave or capacity change of an event materialises
+//! every live service into `base` and marks the classes dirty; after the
+//! handler they are rebuilt from the fair-share rates, grouping entries
+//! through a rate-bits map: O(live log classes) ≤ O(live log live). The
+//! trigger is that dirty flag, not the solve counter — a host-local
+//! bundle gets `local_bps` without a solve. An event that touches no
+//! fluid state costs O(classes), and classes never outnumber live
+//! bundles, so even when every bundle has its own rate an event costs no
+//! more than the per-bundle loops did. Debug builds re-run the
+//! per-bundle fold after every event and assert that it matches bit for
+//! bit.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use keddah_des::{Duration, Engine, EventQueue, SimTime};
 use keddah_faults::{FaultKind, FaultSchedule};
@@ -230,19 +264,151 @@ impl SimReport {
 struct Bundle {
     /// The shared path (directed link ids); empty for host-local flows.
     links: Vec<u32>,
-    /// Weighted fair-share entry, `None` while the bundle is empty.
-    fair: Option<FairFlowId>,
-    /// Cumulative per-member service in Q64 bits (see [`Q_SCALE`]):
-    /// every live member slot has been served exactly this much since
-    /// the bundle's creation.
+    /// Cumulative per-member service in Q64 bits (see [`Q_SCALE`]) while
+    /// the bundle is empty: every member slot has been served exactly
+    /// this much since the bundle's creation. A live bundle's curve is
+    /// in its [`LiveEntry`].
     service: u128,
     /// Members as (absolute service target, flow idx): a member is done
-    /// when `service` reaches its target, so the head is always the next
-    /// member to finish. Ordering inside a bundle is time-invariant —
-    /// members share one rate.
+    /// when the service reaches its target, so the head is always the
+    /// next member to finish. Ordering inside a bundle is time-invariant
+    /// — members share one rate.
     members: BTreeSet<(u128, u32)>,
-    /// Position in the live-bundle list while `fair` is `Some`.
-    live_pos: usize,
+    /// Position in the live table, `None` while the bundle is empty.
+    live_pos: Option<u32>,
+}
+
+/// The live bundles (those with members) and their service curves,
+/// grouped into rate classes (see the module docs).
+///
+/// The table is either *clean* — `classes` describes `entries` exactly
+/// and an entry's service is `service ⊕ acc[class]` — or *dirty*: every
+/// entry's service is materialised and `classes` is empty. The first
+/// join, leave or capacity change of an event makes it dirty
+/// ([`Live::settle`]); [`Live::rebuild`] cleans it after the event's
+/// handler.
+#[derive(Default)]
+struct Live {
+    /// One entry per live bundle; a bundle's `live_pos` indexes here.
+    entries: Vec<LiveEntry>,
+    /// Distinct per-member rates among the live bundles.
+    classes: Vec<RateClass>,
+    /// Services are materialised and `classes` is stale.
+    dirty: bool,
+}
+
+/// A live bundle's hot state, kept apart from its member set so the
+/// per-event passes stay sequential.
+struct LiveEntry {
+    /// Index into the bundle arena.
+    bundle: u32,
+    /// The bundle's weighted fair-share entry.
+    fair: FairFlowId,
+    /// Rate class (clean tables only).
+    class: u32,
+    /// Service target of the bundle's head member.
+    head: u128,
+    /// The bundle's Q64 service curve: the *base* as of the last
+    /// rebuild while the table is clean, the current value while dirty.
+    service: u128,
+}
+
+/// The live bundles whose members share one exact rate.
+struct RateClass {
+    /// The per-member fair-share rate, bits/s.
+    rate: f64,
+    /// Q64 service every member has gained since the last rebuild,
+    /// saturating.
+    acc: u128,
+    /// Minimum over the members of `head ⊖ service`.
+    key: u128,
+}
+
+impl Live {
+    /// Serves every live bundle `dt` seconds at its rate: one
+    /// saturating increment per class, the same integer each member
+    /// would have added.
+    fn advance(&mut self, dt: f64) {
+        debug_assert!(
+            !self.dirty || self.entries.is_empty(),
+            "advance on a dirty table"
+        );
+        for c in &mut self.classes {
+            c.acc = c.acc.saturating_add(((c.rate * dt) * Q_SCALE) as u128);
+        }
+    }
+
+    /// Materialises every live service and marks the table dirty, ahead
+    /// of a join, leave or rate change. Idempotent within an event.
+    fn settle(&mut self) {
+        if self.dirty {
+            return;
+        }
+        self.dirty = true;
+        for e in &mut self.entries {
+            e.service = e.service.saturating_add(self.classes[e.class as usize].acc);
+        }
+        self.classes.clear();
+    }
+
+    /// Regroups the live bundles by the exact bits of their current
+    /// fair-share rate, with zeroed accumulators: O(live log classes),
+    /// O(live) while consecutive entries share a rate.
+    fn rebuild(&mut self, fair: &FairShareState) {
+        let mut by_rate: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut prev: Option<u32> = None;
+        for e in &mut self.entries {
+            let rate = fair.rate(e.fair);
+            let bits = rate.to_bits();
+            // Neighbouring entries mostly share a rate: try the previous
+            // entry's class before the map.
+            let class = match prev {
+                Some(c) if self.classes[c as usize].rate.to_bits() == bits => c,
+                _ => *by_rate.entry(bits).or_insert_with(|| {
+                    self.classes.push(RateClass {
+                        rate,
+                        acc: 0,
+                        key: u128::MAX,
+                    });
+                    (self.classes.len() - 1) as u32
+                }),
+            };
+            let c = &mut self.classes[class as usize];
+            c.key = c.key.min(e.head.saturating_sub(e.service));
+            e.class = class;
+            prev = Some(class);
+        }
+        self.dirty = false;
+    }
+
+    /// The earliest predicted completion at `now`: only a bundle's head
+    /// member can finish first, and within a class only the smallest
+    /// remainder can.
+    fn next_completion(&self, now: f64) -> f64 {
+        self.classes.iter().fold(f64::INFINITY, |next, c| {
+            let rem_bits = q_to_bits(c.key.saturating_sub(c.acc));
+            next.min(now + rem_bits / c.rate.max(1e-9))
+        })
+    }
+
+    /// Debug oracle: the per-bundle fold over materialised services
+    /// must equal the class-based `next` bit for bit, and every cached
+    /// rate and head must be current.
+    #[cfg(debug_assertions)]
+    fn check(&self, bundles: &[Bundle], fair: &FairShareState, now: f64, next: f64) {
+        let mut oracle = f64::INFINITY;
+        for e in &self.entries {
+            let class = &self.classes[e.class as usize];
+            let rate = fair.rate(e.fair);
+            debug_assert_eq!(class.rate.to_bits(), rate.to_bits(), "stale cached rate");
+            let b = &bundles[e.bundle as usize];
+            let &(head, _) = b.members.first().expect("live bundle has members");
+            debug_assert_eq!(head, e.head, "stale cached head");
+            let rem_bits = q_to_bits(head.saturating_sub(e.service.saturating_add(class.acc)));
+            oracle = oracle.min(now + rem_bits / rate.max(1e-9));
+        }
+        debug_assert_eq!(oracle.to_bits(), next.to_bits(), "rate classes mispredict");
+    }
 }
 
 /// Fixed-point scale for bundle service accounting: Q64, i.e. bits
@@ -292,10 +458,9 @@ fn bundle_for_path(
     }
     bundles.push(Bundle {
         links,
-        fair: None,
         service: 0,
         members: BTreeSet::new(),
-        live_pos: 0,
+        live_pos: None,
     });
     bi
 }
@@ -305,7 +470,7 @@ fn bundle_for_path(
 #[allow(clippy::too_many_arguments)]
 fn join_bundle(
     bundles: &mut [Bundle],
-    live: &mut Vec<u32>,
+    live: &mut Live,
     fair: &mut FairShareState,
     member_of: &mut [Option<(u32, u128)>],
     active_members: &mut usize,
@@ -313,16 +478,29 @@ fn join_bundle(
     idx: usize,
     amount_q: u128,
 ) {
+    live.settle();
     let b = &mut bundles[bi as usize];
-    match b.fair {
-        Some(id) => fair.add_weight(id, 1),
-        None => {
-            b.fair = Some(fair.insert_weighted(&b.links, 1));
-            b.live_pos = live.len();
-            live.push(bi);
+    let pos = match b.live_pos {
+        Some(pos) => {
+            fair.add_weight(live.entries[pos as usize].fair, 1);
+            pos as usize
         }
-    }
-    let target = b.service.saturating_add(amount_q);
+        None => {
+            let pos = live.entries.len();
+            live.entries.push(LiveEntry {
+                bundle: bi,
+                fair: fair.insert_weighted(&b.links, 1),
+                class: 0,
+                head: u128::MAX,
+                service: b.service,
+            });
+            b.live_pos = Some(pos as u32);
+            pos
+        }
+    };
+    let e = &mut live.entries[pos];
+    let target = e.service.saturating_add(amount_q);
+    e.head = e.head.min(target);
     b.members.insert((target, idx as u32));
     member_of[idx] = Some((bi, target));
     *active_members += 1;
@@ -332,34 +510,35 @@ fn join_bundle(
 /// remainder; the last member out retires the bundle's fair entry.
 fn leave_bundle(
     bundles: &mut [Bundle],
-    live: &mut Vec<u32>,
+    live: &mut Live,
     fair: &mut FairShareState,
     member_of: &mut [Option<(u32, u128)>],
     active_members: &mut usize,
     idx: usize,
 ) -> u128 {
+    live.settle();
     let (bi, target) = member_of[idx].take().expect("flow is an active member");
-    let (rem_q, id, emptied) = {
-        let b = &mut bundles[bi as usize];
-        let removed = b.members.remove(&(target, idx as u32));
-        debug_assert!(removed, "member set out of sync");
-        let id = b.fair.expect("member bundle is live");
-        let emptied = b.members.is_empty();
-        if emptied {
-            b.fair = None;
-        }
-        (target.saturating_sub(b.service), id, emptied)
-    };
+    let b = &mut bundles[bi as usize];
+    let removed = b.members.remove(&(target, idx as u32));
+    debug_assert!(removed, "member set out of sync");
+    let pos = b.live_pos.expect("member bundle is live") as usize;
+    let e = &mut live.entries[pos];
+    let (rem_q, id) = (target.saturating_sub(e.service), e.fair);
     *active_members -= 1;
-    if emptied {
-        let pos = bundles[bi as usize].live_pos;
-        live.swap_remove(pos);
-        if let Some(&moved) = live.get(pos) {
-            bundles[moved as usize].live_pos = pos;
+    match b.members.first() {
+        Some(&(head, _)) => {
+            e.head = head;
+            fair.sub_weight(id, 1);
         }
-        fair.remove_flow(id);
-    } else {
-        fair.sub_weight(id, 1);
+        None => {
+            b.service = e.service;
+            b.live_pos = None;
+            live.entries.swap_remove(pos);
+            if let Some(moved) = live.entries.get(pos) {
+                bundles[moved.bundle as usize].live_pos = Some(pos as u32);
+            }
+            fair.remove_flow(id);
+        }
     }
     rem_q
 }
@@ -518,11 +697,12 @@ pub fn simulate(
 
     let mut router = RouteCache::new(topo);
     // Bundle state: same-path flows share one bundle (or each flow its
-    // own, under the no-aggregate oracle). `live` lists bundles with
-    // members; `member_of` maps a flow to its bundle and service target.
+    // own, under the no-aggregate oracle). `live` holds the bundles with
+    // members, grouped into rate classes; `member_of` maps a flow to its
+    // bundle and service target.
     let mut bundles: Vec<Bundle> = Vec::new();
     let mut by_path: HashMap<Vec<u32>, u32> = HashMap::new();
-    let mut live: Vec<u32> = Vec::new();
+    let mut live = Live::default();
     let mut active_members = 0usize;
     let mut peak_bundles = 0usize;
     // Incremental max-min state, one weighted entry per bundle:
@@ -589,33 +769,36 @@ pub fn simulate(
             // they recover: drain the run by aborting everything still
             // active (accounted as lost) and doom later arrivals. The
             // report flags it via `FaultStats::diverged`.
+            live.settle();
             debug_assert!(
                 false,
                 "fluid simulation failed to converge: {} active flows in {} bundles at t={now}, \
                  {} total, head remainders={:?}, rates={:?}",
                 active_members,
-                live.len(),
+                live.entries.len(),
                 flows.len(),
-                live.iter()
+                live.entries
+                    .iter()
                     .take(5)
-                    .map(|&bi| {
-                        let b = &bundles[bi as usize];
-                        b.members
-                            .iter()
-                            .next()
-                            .map_or(0.0, |&(tq, _)| q_to_bits(tq.saturating_sub(b.service)))
-                    })
+                    .map(|e| q_to_bits(e.head.saturating_sub(e.service)))
                     .collect::<Vec<_>>(),
-                live.iter()
+                live.entries
+                    .iter()
                     .take(5)
-                    .map(|&bi| fair.rate(bundles[bi as usize].fair.expect("live bundle")))
+                    .map(|e| fair.rate(e.fair))
                     .collect::<Vec<_>>()
             );
             diverged = true;
             fstats.diverged = true;
             let mut drain: Vec<u32> = live
+                .entries
                 .iter()
-                .flat_map(|&bi| bundles[bi as usize].members.iter().map(|&(_, idx)| idx))
+                .flat_map(|e| {
+                    bundles[e.bundle as usize]
+                        .members
+                        .iter()
+                        .map(|&(_, idx)| idx)
+                })
                 .collect();
             drain.sort_unstable();
             for idx in drain {
@@ -649,14 +832,10 @@ pub fn simulate(
         }
 
         // Advance every live bundle's service curve to the event's
-        // precise time — O(bundles), the loop that used to be O(flows).
+        // precise time: one step per rate class.
         let dt = (tf - now).max(0.0);
         if dt > 0.0 {
-            for &bi in &live {
-                let b = &mut bundles[bi as usize];
-                let rate = fair.rate(b.fair.expect("live bundle"));
-                b.service = b.service.saturating_add(((rate * dt) * Q_SCALE) as u128);
-            }
+            live.advance(dt);
         }
         now = tf;
 
@@ -765,7 +944,7 @@ pub fn simulate(
                             payload_q(spec.bytes),
                         );
                         peak_active = peak_active.max(active_members);
-                        peak_bundles = peak_bundles.max(live.len());
+                        peak_bundles = peak_bundles.max(live.entries.len());
                     }
                 }
             }
@@ -775,12 +954,16 @@ pub fn simulate(
                 // set is target-ordered, so the scan is O(bundles +
                 // retiring); the cross-bundle flow-idx sort fixes one
                 // canonical processing order whatever the bundling — the
-                // aggregation knob must not reorder Notify delivery.
+                // aggregation knob must not reorder Notify delivery. The
+                // scans read materialised services.
+                live.settle();
                 let mut finished: Vec<u32> = Vec::new();
-                for &bi in &live {
-                    let b = &bundles[bi as usize];
-                    let cut = b.service.saturating_add(RETIRE_EPS_Q);
-                    for &(target, idx) in &b.members {
+                for e in &live.entries {
+                    let cut = e.service.saturating_add(RETIRE_EPS_Q);
+                    if e.head > cut {
+                        continue;
+                    }
+                    for &(target, idx) in &bundles[e.bundle as usize].members {
                         if target <= cut {
                             finished.push(idx);
                         } else {
@@ -793,11 +976,12 @@ pub fn simulate(
                     // member just above the epsilon; retire the globally
                     // closest (smallest remainder, then smallest idx).
                     let mut best: Option<(u128, u32)> = None;
-                    for &bi in &live {
-                        let b = &bundles[bi as usize];
-                        let &(target, idx) =
-                            b.members.iter().next().expect("live bundle has members");
-                        let rem = target.saturating_sub(b.service);
+                    for e in &live.entries {
+                        let &(target, idx) = bundles[e.bundle as usize]
+                            .members
+                            .first()
+                            .expect("live bundle has members");
+                        let rem = target.saturating_sub(e.service);
                         if best.is_none_or(|head| (rem, idx) < head) {
                             best = Some((rem, idx));
                         }
@@ -844,13 +1028,13 @@ pub fn simulate(
                 // victim order whatever the bundling, so the aggregation
                 // knob never reorders aborts or reroutes.
                 let mut victims: Vec<u32> = Vec::new();
-                let pull = |live: &[u32],
+                let pull = |live: &Live,
                             bundles: &[Bundle],
                             flows: &[FlowSpec],
                             victims: &mut Vec<u32>,
                             pred: &dyn Fn(&Bundle, &FlowSpec) -> bool| {
-                    for &bi in live {
-                        let b = &bundles[bi as usize];
+                    for e in &live.entries {
+                        let b = &bundles[e.bundle as usize];
                         for &(_, idx) in &b.members {
                             if pred(b, &flows[idx as usize]) {
                                 victims.push(idx);
@@ -899,6 +1083,7 @@ pub fn simulate(
                             cur_capacities[l] = bps;
                             // The link's bundles seed the incremental dirty
                             // set; only their component re-solves.
+                            live.settle();
                             fair.set_capacity(l as u32, bps);
                         }
                     }
@@ -955,7 +1140,7 @@ pub fn simulate(
                                 id,
                                 rem_q,
                             );
-                            peak_bundles = peak_bundles.max(live.len());
+                            peak_bundles = peak_bundles.max(live.entries.len());
                             fstats.rerouted_flows += 1;
                             c_rerouted.inc();
                             obs.trace(
@@ -989,25 +1174,24 @@ pub fn simulate(
                 if let Some(l) = reroute_mask {
                     // Zero the dead link's share only after its bundles
                     // have left it (no entry may hold a 0-capacity link).
+                    live.settle();
                     fair.set_capacity(l as u32, 0.0);
                 }
             }
             Ev::Notify { .. } => unreachable!("handled above"),
         }
 
-        // Re-predict the earliest completion with the post-event rates and
-        // remainders. Only each bundle's head member (minimum target) can
-        // finish first — members share one rate — so the fold is
-        // O(bundles), not O(flows).
-        gen += 1;
-        let mut next_completion = f64::INFINITY;
-        for &bi in &live {
-            let b = &bundles[bi as usize];
-            let &(target, _) = b.members.iter().next().expect("live bundle has members");
-            let rem_bits = q_to_bits(target.saturating_sub(b.service));
-            let pred = now + rem_bits / fair.rate(b.fair.expect("live bundle")).max(1e-9);
-            next_completion = next_completion.min(pred);
+        // Regroup the rate classes if the handler joined, left or
+        // re-rated anything, then re-predict the earliest completion with
+        // the post-event rates and remainders: one prediction per class,
+        // not per bundle or per flow.
+        if live.dirty {
+            live.rebuild(&fair);
         }
+        gen += 1;
+        let next_completion = live.next_completion(now);
+        #[cfg(debug_assertions)]
+        live.check(&bundles, &fair, now, next_completion);
         if next_completion.is_finite() {
             queue.push(
                 SimTime::from_secs_f64(next_completion).max(t),
