@@ -25,8 +25,11 @@
 //!   sampling every start time up front as [`KeddahModel::generate_job`]
 //!   does.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use keddah_des::{Duration, SimTime};
-use keddah_flowcap::{Component, Trace};
+use keddah_flowcap::{Component, FlowRecord, Trace};
 use keddah_netsim::{FlowId, FlowResult, FlowSpec, HostId, Topology, TrafficSource};
 use keddah_stat::distributions::Distribution;
 use rand::rngs::StdRng;
@@ -78,17 +81,23 @@ impl TraceSource {
     /// Returns [`CoreError::TopologyTooSmall`] if any flow endpoint
     /// exceeds the topology's host count.
     pub fn new(trace: &Trace, topo: &Topology) -> Result<Self> {
+        Self::build(trace, topo, infer_parents)
+    }
+
+    /// [`new`](Self::new) with the parent inference passed in, so tests
+    /// can build the same source with a reference inference.
+    fn build(
+        trace: &Trace,
+        topo: &Topology,
+        infer: fn(&[FlowRecord], &[usize]) -> Vec<Option<usize>>,
+    ) -> Result<Self> {
         let flows = trace.flows();
         let t0 = flows.iter().map(|f| f.start).min().unwrap_or(SimTime::ZERO);
         // Scan in capture start order so "latest eligible parent" is
         // well-defined; ties keep trace order.
         let mut order: Vec<usize> = (0..flows.len()).collect();
         order.sort_by_key(|&i| (flows[i].start, i));
-
-        let mut entries = Vec::with_capacity(flows.len());
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); flows.len()];
-        let mut roots = Vec::new();
-        for (pos, &idx) in order.iter().enumerate() {
+        for &idx in &order {
             let f = &flows[idx];
             let node = f.tuple.src.0.max(f.tuple.dst.0);
             if node >= topo.host_count() {
@@ -97,54 +106,21 @@ impl TraceSource {
                     available: topo.host_count(),
                 });
             }
+        }
+        let parents = infer(flows, &order);
+
+        let mut entries = Vec::with_capacity(flows.len());
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); flows.len()];
+        let mut roots = Vec::new();
+        // Entries are built in `order`, so an entry index is a scan
+        // position, which is what `parents` holds.
+        for (entry, (&idx, parent)) in order.iter().zip(parents).enumerate() {
+            let f = &flows[idx];
             let component = f.component.unwrap_or(Component::Other);
-            // Parent = the latest-ending already-finished flow upstream of
-            // this one on Hadoop's data path.
-            let parent = match component {
-                // A shuffle fetch (reducer = tuple.src pulls from the map
-                // node = tuple.dst) waits for the HDFS read that fed that
-                // map (read client = map node = tuple.src of the read);
-                // the map finished consuming its input before serving, so
-                // the read must have ended first.
-                Component::Shuffle => best_parent(flows, &order[..pos], |p| {
-                    p.component == Some(Component::HdfsRead)
-                        && p.tuple.src == f.tuple.dst
-                        && p.end <= f.start
-                }),
-                // A write-pipeline hop (upstream = tuple.src pushes to
-                // tuple.dst) waits for the hop that delivered the data to
-                // its upstream node — hops of one pipeline overlap in the
-                // capture (data streams through), so only require the
-                // parent to have started first — or, at the head of a
-                // reducer's pipeline, for the shuffle into that reducer.
-                Component::HdfsWrite => best_parent(flows, &order[..pos], |p| {
-                    p.component == Some(Component::HdfsWrite) && p.tuple.dst == f.tuple.src
-                })
-                .or_else(|| {
-                    best_parent(flows, &order[..pos], |p| {
-                        p.component == Some(Component::Shuffle)
-                            && p.tuple.src == f.tuple.src
-                            && p.end <= f.start
-                    })
-                }),
-                // A broadcast fetch (map node = tuple.src pulls the side
-                // payload from a replica holder = tuple.dst) waits for the
-                // write-pipeline hop that delivered the payload to that
-                // holder.
-                Component::Broadcast => best_parent(flows, &order[..pos], |p| {
-                    p.component == Some(Component::HdfsWrite)
-                        && p.tuple.dst == f.tuple.dst
-                        && p.end <= f.start
-                }),
-                // Reads, control and unclassified traffic drive the job;
-                // they replay at their captured times.
-                _ => None,
-            };
             let lag = match parent {
-                Some(p) => f.start.saturating_since(flows[p].end),
+                Some(p) => f.start.saturating_since(flows[order[p]].end),
                 None => Duration::ZERO,
             };
-            let entry = entries.len();
             entries.push(TraceEntry {
                 spec: FlowSpec {
                     src: HostId(f.tuple.src.0),
@@ -156,15 +132,7 @@ impl TraceSource {
                 lag,
             });
             match parent {
-                // `order` positions map 1:1 onto entry indices (entries are
-                // built in `order`), so translate the trace index back.
-                Some(p_idx) => {
-                    let p_entry = order[..pos]
-                        .iter()
-                        .position(|&o| o == p_idx)
-                        .expect("parent scanned earlier");
-                    children[p_entry].push(entry);
-                }
+                Some(p) => children[p].push(entry),
                 None => roots.push(entry),
             }
         }
@@ -207,18 +175,93 @@ impl TraceSource {
     }
 }
 
-/// The latest-started flow among the already-scanned prefix that matches
-/// `eligible`.
-fn best_parent(
-    flows: &[keddah_flowcap::FlowRecord],
-    scanned: &[usize],
-    eligible: impl Fn(&keddah_flowcap::FlowRecord) -> bool,
-) -> Option<usize> {
-    scanned
+/// Infers each flow's parent: the latest already-scanned flow upstream
+/// of it on Hadoop's data path. `order` is the scan order (capture
+/// start, ties by trace index), so "latest" is the latest-started
+/// match. Element `k` of the result is the parent of the flow at scan
+/// position `k`, as a scan position.
+///
+/// Every rule matches on one (component, node) key, so the scan keeps
+/// its candidates per key and each flow costs O(log n).
+fn infer_parents(flows: &[FlowRecord], order: &[usize]) -> Vec<Option<usize>> {
+    let nodes = flows
         .iter()
-        .copied()
-        .filter(|&j| eligible(&flows[j]))
-        .max_by_key(|&j| (flows[j].start, j))
+        .map(|f| f.tuple.src.0.max(f.tuple.dst.0) as usize + 1)
+        .max()
+        .unwrap_or(0);
+    // HDFS reads by read client, shuffles by reducer, and write-pipeline
+    // hops by receiving node; hops also without the end-time condition.
+    let mut reads: Vec<Ended> = (0..nodes).map(|_| Ended::default()).collect();
+    let mut shuffles: Vec<Ended> = (0..nodes).map(|_| Ended::default()).collect();
+    let mut writes: Vec<Ended> = (0..nodes).map(|_| Ended::default()).collect();
+    let mut last_write: Vec<Option<usize>> = vec![None; nodes];
+    let mut parents = Vec::with_capacity(order.len());
+    for (pos, &idx) in order.iter().enumerate() {
+        let f = &flows[idx];
+        let (src, dst) = (f.tuple.src.0 as usize, f.tuple.dst.0 as usize);
+        parents.push(match f.component {
+            // A shuffle fetch (reducer = tuple.src pulls from the map
+            // node = tuple.dst) waits for the HDFS read that fed that
+            // map (read client = map node = tuple.src of the read);
+            // the map finished consuming its input before serving, so
+            // the read must have ended first.
+            Some(Component::Shuffle) => reads[dst].latest(f.start),
+            // A write-pipeline hop (upstream = tuple.src pushes to
+            // tuple.dst) waits for the hop that delivered the data to
+            // its upstream node — hops of one pipeline overlap in the
+            // capture (data streams through), so only require the
+            // parent to have started first — or, at the head of a
+            // reducer's pipeline, for the shuffle into that reducer.
+            Some(Component::HdfsWrite) => last_write[src].or_else(|| shuffles[src].latest(f.start)),
+            // A broadcast fetch (map node = tuple.src pulls the side
+            // payload from a replica holder = tuple.dst) waits for the
+            // write-pipeline hop that delivered the payload to that
+            // holder.
+            Some(Component::Broadcast) => writes[dst].latest(f.start),
+            // Reads, control and unclassified traffic drive the job;
+            // they replay at their captured times.
+            _ => None,
+        });
+        match f.component {
+            Some(Component::HdfsRead) => reads[src].push(f.end, pos),
+            Some(Component::Shuffle) => shuffles[src].push(f.end, pos),
+            Some(Component::HdfsWrite) => {
+                writes[dst].push(f.end, pos);
+                last_write[dst] = Some(pos);
+            }
+            _ => {}
+        }
+    }
+    parents
+}
+
+/// Candidate parents for one (component, node) key under an
+/// `end <= start` condition. Scan start times never decrease, so a
+/// candidate that has ended by one flow's start has ended for every
+/// later flow: candidates wait in a min-heap by end and, once ended,
+/// fold into the latest scan position.
+#[derive(Debug, Default)]
+struct Ended {
+    pending: BinaryHeap<Reverse<(SimTime, usize)>>,
+    latest: Option<usize>,
+}
+
+impl Ended {
+    fn push(&mut self, end: SimTime, pos: usize) {
+        self.pending.push(Reverse((end, pos)));
+    }
+
+    /// The latest candidate that ended by `start`.
+    fn latest(&mut self, start: SimTime) -> Option<usize> {
+        while let Some(&Reverse((end, pos))) = self.pending.peek() {
+            if end > start {
+                break;
+            }
+            self.pending.pop();
+            self.latest = self.latest.max(Some(pos));
+        }
+        self.latest
+    }
 }
 
 impl TrafficSource for TraceSource {
@@ -532,6 +575,150 @@ mod tests {
             TraceSource::new(&chain_trace(), &topo),
             Err(CoreError::TopologyTooSmall { .. })
         ));
+    }
+
+    /// The reference inference: every flow rescans the whole scanned
+    /// prefix for its latest eligible parent, then maps it back to a
+    /// scan position by a second scan. O(n²).
+    fn infer_parents_quadratic(flows: &[FlowRecord], order: &[usize]) -> Vec<Option<usize>> {
+        let best_parent = |scanned: &[usize], eligible: &dyn Fn(&FlowRecord) -> bool| {
+            scanned
+                .iter()
+                .copied()
+                .filter(|&j| eligible(&flows[j]))
+                .max_by_key(|&j| (flows[j].start, j))
+        };
+        (0..order.len())
+            .map(|pos| {
+                let f = &flows[order[pos]];
+                let scanned = &order[..pos];
+                let parent = match f.component.unwrap_or(Component::Other) {
+                    Component::Shuffle => best_parent(scanned, &|p| {
+                        p.component == Some(Component::HdfsRead)
+                            && p.tuple.src == f.tuple.dst
+                            && p.end <= f.start
+                    }),
+                    Component::HdfsWrite => best_parent(scanned, &|p| {
+                        p.component == Some(Component::HdfsWrite) && p.tuple.dst == f.tuple.src
+                    })
+                    .or_else(|| {
+                        best_parent(scanned, &|p| {
+                            p.component == Some(Component::Shuffle)
+                                && p.tuple.src == f.tuple.src
+                                && p.end <= f.start
+                        })
+                    }),
+                    Component::Broadcast => best_parent(scanned, &|p| {
+                        p.component == Some(Component::HdfsWrite)
+                            && p.tuple.dst == f.tuple.dst
+                            && p.end <= f.start
+                    }),
+                    _ => None,
+                };
+                parent.map(|p_idx| {
+                    scanned
+                        .iter()
+                        .position(|&o| o == p_idx)
+                        .expect("parent scanned earlier")
+                })
+            })
+            .collect()
+    }
+
+    /// Builds `trace`'s source with the scan and with the reference
+    /// inference, asserting equal edges, lags and roots. Returns the
+    /// edge count.
+    fn assert_matches_reference(trace: &Trace) -> usize {
+        let hosts = trace
+            .flows()
+            .iter()
+            .map(|f| f.tuple.src.0.max(f.tuple.dst.0) + 1)
+            .max()
+            .unwrap_or(1);
+        let topo = Topology::star(hosts, 1e9);
+        let fast = TraceSource::new(trace, &topo).unwrap();
+        let slow = TraceSource::build(trace, &topo, infer_parents_quadratic).unwrap();
+        assert_eq!(fast.edges(), slow.edges());
+        assert_eq!(fast.roots, slow.roots);
+        let lags = |s: &TraceSource| s.entries.iter().map(|e| e.lag).collect::<Vec<_>>();
+        assert_eq!(lags(&fast), lags(&slow));
+        fast.edges().len()
+    }
+
+    #[test]
+    fn inference_matches_reference_on_paper_workload_captures() {
+        use keddah_hadoop::{run_job, ClusterSpec, HadoopConfig, JobSpec, Workload};
+        let cluster = ClusterSpec::racks(2, 4);
+        for &w in Workload::PAPER {
+            let run = run_job(
+                &cluster,
+                &HadoopConfig::default(),
+                &JobSpec::new(w, 2 << 30),
+                7,
+            );
+            let edges = assert_matches_reference(&run.trace);
+            assert!(edges > 0, "{w:?}: no dependency edges inferred");
+        }
+    }
+
+    #[test]
+    fn inference_matches_reference_on_a_crashed_capture() {
+        use keddah_faults::{FaultKind, FaultSpec, TimedFault};
+        use keddah_hadoop::{
+            run_job, run_job_faulted, ClusterSpec, HadoopConfig, JobSpec, Workload,
+        };
+        let (cluster, config) = (ClusterSpec::racks(2, 4), HadoopConfig::default());
+        let job = JobSpec::new(Workload::TeraSort, 512 << 20);
+        let clean = run_job(&cluster, &config, &job, 3);
+        let crash = FaultSpec {
+            faults: vec![TimedFault {
+                at_nanos: clean.duration.as_nanos() / 3,
+                kind: FaultKind::NodeCrash { node: 2 },
+            }],
+        };
+        let crashed = run_job_faulted(&cluster, &config, &job, 3, &crash);
+        assert!(crashed.counters.node_crashes > 0, "the crash fired");
+        assert!(assert_matches_reference(&crashed.trace) > 0);
+    }
+
+    #[test]
+    fn inference_matches_reference_with_tied_start_times() {
+        // Four start instants, zero-length flows among them, endpoints
+        // over six nodes and every component: many candidates share a
+        // start with the flow that looks them up, in scrambled trace
+        // order.
+        let components = [
+            Component::HdfsRead,
+            Component::Shuffle,
+            Component::HdfsWrite,
+            Component::Broadcast,
+            Component::Control,
+        ];
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let flows: Vec<FlowRecord> = (0..600)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = x >> 33;
+                let start = (r % 4) * 10;
+                let src = (r >> 2) % 6;
+                let dst = (src + 1 + (r >> 5) % 5) % 6;
+                let component = components[((r >> 8) % 5) as usize];
+                let len = [0, 0, 5, 10, 25][((r >> 11) % 5) as usize];
+                flow(
+                    src as u32,
+                    dst as u32,
+                    50_010,
+                    start,
+                    start + len,
+                    1,
+                    component,
+                )
+            })
+            .collect();
+        let edges = assert_matches_reference(&Trace::new(TraceMeta::default(), flows));
+        assert!(edges > 100, "ties exercised: {edges} edges");
     }
 
     #[test]

@@ -62,6 +62,35 @@
 //! bundles solvable per event. The `aggregated_rates_match_per_flow`
 //! proptest pins the bitwise equivalence.
 //!
+//! # The cached component
+//!
+//! Shuffle traffic forms one component spanning the fabric, so most
+//! walks would re-collect the component the previous walk found. Only
+//! [`remove_flow`] can split a component. So when a walk finds exactly
+//! one component, the state keeps its links and entry count, and:
+//!
+//! * an [`insert_weighted`] whose links are each in that component or
+//!   carry only the new entry, and at least one is in it, extends the
+//!   cached links by its fresh ones and fills with no walk;
+//! * [`add_weight`](FairShareState::add_weight),
+//!   [`sub_weight`](FairShareState::sub_weight) and
+//!   [`set_capacity`](FairShareState::set_capacity) on its links fill
+//!   with no walk;
+//! * a removal, full recompute, or any mutation touching another
+//!   component drops the cache and walks, re-caching when the walk
+//!   finds exactly one component.
+//!
+//! The cached set is always exactly one link-connected component, and
+//! the fill depends neither on the order of its links (ties break on
+//! the global link id) nor on that of its entries (freezes follow link
+//! adjacency). A cached fill therefore performs a walked fill's
+//! floating-point operations in the same order, and [`solves`] and
+//! [`solved_flows`] count what the walk would have. Per-link weight
+//! sums are kept current on every mutation, and the scratch lives in
+//! the state, so a solve allocates nothing and writes rates in place.
+//! Debug builds re-walk the component on every cached fill and assert
+//! the same link set and entry count.
+//!
 //! # Parallel component solves
 //!
 //! [`with_parallel`](FairShareState::with_parallel) lets a mutation whose
@@ -76,6 +105,8 @@
 //! [`insert_flow`]: FairShareState::insert_flow
 //! [`insert_weighted`]: FairShareState::insert_weighted
 //! [`remove_flow`]: FairShareState::remove_flow
+//! [`solves`]: FairShareState::solves
+//! [`solved_flows`]: FairShareState::solved_flows
 
 /// Computes max-min fair rates (bits/s) for a set of flows.
 ///
@@ -182,6 +213,7 @@ pub struct FairFlowId(pub u32);
 
 #[derive(Debug, Clone, Default)]
 struct FlowSlot {
+    /// The entry's links; kept after removal until the slot is reused.
     links: Vec<u32>,
     /// Member flows this entry stands for (1 = a plain flow; >1 = a
     /// bundle of identical flows sharing the link set and the rate).
@@ -189,13 +221,285 @@ struct FlowSlot {
     alive: bool,
 }
 
+/// Everything a fill reads: link capacities and the entry/link
+/// incidence, kept current by every mutation.
+#[derive(Debug)]
+struct Incidence {
+    capacities: Vec<f64>,
+    slots: Vec<FlowSlot>,
+    /// link -> active entries crossing it, one entry per crossing (an
+    /// entry listing a link twice appears twice).
+    link_flows: Vec<Vec<u32>>,
+    /// link -> summed weight of its crossings: the member count a fill
+    /// starts the link's unfrozen count at.
+    link_weight: Vec<u32>,
+}
+
+/// Where a walk starts.
+#[derive(Debug, Clone, Copy)]
+enum Seeds {
+    /// One entry (an insert or a weight change).
+    Entry(u32),
+    /// The entries crossing one link (a capacity change).
+    Link(u32),
+    /// The entries sharing a link with a removed entry.
+    Neighbours(u32),
+    /// Every live entry (full recompute).
+    Every,
+}
+
+/// Solver scratch for the component walk, and the cached component.
+///
+/// A walk stamps the entries and links it reaches, so per-walk clearing
+/// is O(touched), not O(total). When a walk finds exactly one component,
+/// `links` holds exactly that component's links (`link_local` indexes
+/// them, their marks equal `stamp`) and `cached` its entry count. Only a
+/// removal can split a component, so until the next removal or walk an
+/// insert on it, or a re-weighting or capacity change of it, changes
+/// what gets filled but not which links and entries belong together:
+/// the cache is extended in place instead of re-walked.
+#[derive(Debug, Default)]
+struct Walk {
+    stamp: u64,
+    flow_mark: Vec<u64>,
+    flow_local: Vec<u32>,
+    link_mark: Vec<u64>,
+    link_local: Vec<u32>,
+    /// Members of the walked components, flattened (the BFS queue).
+    members: Vec<u32>,
+    /// Links of the walked components, flattened.
+    links: Vec<u32>,
+    /// `(member start, member end, link start, link end)` per component.
+    comps: Vec<(usize, usize, usize, usize)>,
+    /// Entry count of the cached component, if the cache is valid.
+    cached: Option<usize>,
+}
+
+impl Walk {
+    /// Collects the link-connected components reachable from `seeds`.
+    /// Caches the result when it is exactly one component.
+    fn run(&mut self, inc: &Incidence, seeds: Seeds) {
+        self.stamp += 1;
+        self.members.clear();
+        self.links.clear();
+        self.comps.clear();
+        match seeds {
+            Seeds::Entry(id) => self.component_from(inc, id),
+            Seeds::Link(l) => {
+                for &f in &inc.link_flows[l as usize] {
+                    self.component_from(inc, f);
+                }
+            }
+            Seeds::Neighbours(id) => {
+                for &l in &inc.slots[id as usize].links {
+                    for &f in &inc.link_flows[l as usize] {
+                        self.component_from(inc, f);
+                    }
+                }
+            }
+            Seeds::Every => {
+                for f in 0..inc.slots.len() as u32 {
+                    self.component_from(inc, f);
+                }
+            }
+        }
+        self.cached = (self.comps.len() == 1).then_some(self.members.len());
+    }
+
+    /// BFS from `start` unless it is dead, local or already walked,
+    /// writing component-relative local indices into the scratch maps.
+    fn component_from(&mut self, inc: &Incidence, start: u32) {
+        let stamp = self.stamp;
+        let s = start as usize;
+        if !inc.slots[s].alive || inc.slots[s].links.is_empty() || self.flow_mark[s] == stamp {
+            return;
+        }
+        let (ms, ls) = (self.members.len(), self.links.len());
+        self.flow_mark[s] = stamp;
+        self.flow_local[s] = 0;
+        self.members.push(start);
+        let mut head = ms;
+        while head < self.members.len() {
+            let f = self.members[head] as usize;
+            head += 1;
+            for &l in &inc.slots[f].links {
+                let l = l as usize;
+                if self.link_mark[l] == stamp {
+                    continue;
+                }
+                self.link_mark[l] = stamp;
+                self.link_local[l] = (self.links.len() - ls) as u32;
+                self.links.push(l as u32);
+                for &g in &inc.link_flows[l] {
+                    if self.flow_mark[g as usize] != stamp {
+                        self.flow_mark[g as usize] = stamp;
+                        self.flow_local[g as usize] = (self.members.len() - ms) as u32;
+                        self.members.push(g);
+                    }
+                }
+            }
+        }
+        self.comps
+            .push((ms, self.members.len(), ls, self.links.len()));
+    }
+
+    /// True when `link` belongs to the cached component.
+    fn caches(&self, link: u32) -> bool {
+        self.cached.is_some() && self.link_mark[link as usize] == self.stamp
+    }
+
+    /// Adds new entry `id` to the cached component if that is all it
+    /// changes: each of its links is cached or carries only `id`, and
+    /// at least one is cached. The fresh links join the cached set.
+    fn absorb(&mut self, inc: &Incidence, id: u32) -> bool {
+        let links = &inc.slots[id as usize].links;
+        let mut joins = false;
+        for &l in links {
+            if self.caches(l) {
+                joins = true;
+            } else if inc.link_flows[l as usize].iter().any(|&g| g != id) {
+                return false; // merges another component
+            }
+        }
+        if !joins {
+            return false;
+        }
+        for &l in links {
+            if !self.caches(l) {
+                self.link_mark[l as usize] = self.stamp;
+                self.link_local[l as usize] = self.links.len() as u32;
+                self.links.push(l);
+            }
+        }
+        self.cached = self.cached.map(|n| n + 1);
+        true
+    }
+
+    /// Debug oracle: a from-scratch walk of the cached component must
+    /// find the same link set and entry count the cache holds.
+    #[cfg(debug_assertions)]
+    fn check(&self, inc: &Incidence) {
+        let Some(cached) = self.cached else { return };
+        let mut link_seen = vec![false; inc.link_flows.len()];
+        let mut flow_seen = vec![false; inc.slots.len()];
+        let first = self.links[0];
+        let mut entries = 0;
+        let mut walked: Vec<u32> = vec![first];
+        link_seen[first as usize] = true;
+        let mut head = 0;
+        while head < walked.len() {
+            let l = walked[head] as usize;
+            head += 1;
+            for &f in &inc.link_flows[l] {
+                if flow_seen[f as usize] {
+                    continue;
+                }
+                flow_seen[f as usize] = true;
+                entries += 1;
+                for &m in &inc.slots[f as usize].links {
+                    if !link_seen[m as usize] {
+                        link_seen[m as usize] = true;
+                        walked.push(m);
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(entries, cached, "cached component entry count");
+        let mut have = self.links.clone();
+        have.sort_unstable();
+        walked.sort_unstable();
+        debug_assert_eq!(have, walked, "cached component link set");
+        for (j, &l) in self.links.iter().enumerate() {
+            debug_assert_eq!(self.link_local[l as usize] as usize, j, "cached link index");
+        }
+    }
+}
+
+/// Scratch for one component's progressive fill, reused across solves.
+#[derive(Debug, Default)]
+struct Fill {
+    remaining: Vec<f64>,
+    unfrozen: Vec<u32>,
+}
+
+impl Fill {
+    /// Weighted progressive filling over one link-connected component
+    /// whose links are `comp_links` (`link_local` maps each to its
+    /// position there). `freeze(entry, share)` records an entry's
+    /// per-member rate and returns false if the entry was already
+    /// frozen this fill.
+    ///
+    /// The arithmetic is [`max_min_rates`]'s exactly, with each weight-`w`
+    /// entry standing for `w` interleaved member freezes (see the module's
+    /// weighted-entries section for why that is bit-identical).
+    fn run(
+        &mut self,
+        inc: &Incidence,
+        link_local: &[u32],
+        comp_links: &[u32],
+        mut freeze: impl FnMut(u32, f64) -> bool,
+    ) {
+        let (remaining, unfrozen) = (&mut self.remaining, &mut self.unfrozen);
+        remaining.clear();
+        remaining.extend(comp_links.iter().map(|&l| inc.capacities[l as usize]));
+        // All entries crossing a component link are members by closure, so
+        // the unfrozen count starts at the link's full weight.
+        unfrozen.clear();
+        unfrozen.extend(comp_links.iter().map(|&l| inc.link_weight[l as usize]));
+
+        loop {
+            // Bottleneck: smallest share; ties break on the smallest global
+            // link id, exactly like the full solver's ascending link scan.
+            let mut best: Option<(f64, u32, usize)> = None;
+            for (j, (&count, &global)) in unfrozen.iter().zip(comp_links).enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                let share = (remaining[j] / f64::from(count)).max(0.0);
+                match best {
+                    Some((s, g, _)) if s < share || (s == share && g < global) => {}
+                    _ => best = Some((share, global, j)),
+                }
+            }
+            let Some((share, _, bottleneck)) = best else {
+                break;
+            };
+            for &f in &inc.link_flows[comp_links[bottleneck] as usize] {
+                if !freeze(f, share) {
+                    continue;
+                }
+                let slot = &inc.slots[f as usize];
+                let w = slot.weight;
+                for &l in &slot.links {
+                    let lj = link_local[l as usize] as usize;
+                    unfrozen[lj] -= w;
+                    if unfrozen[lj] == 0 {
+                        // This freeze emptied the link: its `remaining` is
+                        // never read again, so the member-wise drain below
+                        // would be dead work — O(links), not O(members).
+                        continue;
+                    }
+                    // The member-wise rounding sequence, one literal
+                    // subtract-and-clamp per member crossing.
+                    let mut rem = remaining[lj];
+                    for _ in 0..w {
+                        rem = (rem - share).max(0.0);
+                    }
+                    remaining[lj] = rem;
+                }
+            }
+        }
+    }
+}
+
 /// Incremental max-min fair allocator.
 ///
-/// Maintains the active flow set, per-link flow adjacency and per-flow
-/// rates across mutations. Every mutation re-solves only the affected
-/// components (entries transitively sharing links with the mutated one),
-/// each with the same weighted progressive fill; forcing full recompute
-/// re-solves every component instead, with identical rates.
+/// Maintains the active flow set, per-link flow adjacency and weight
+/// sums, and per-flow rates across mutations. Every mutation re-solves
+/// only the affected components (entries transitively sharing links with
+/// the mutated one), each with the same weighted progressive fill;
+/// forcing full recompute re-solves every component instead, with
+/// identical rates.
 ///
 /// # Examples
 ///
@@ -215,28 +519,22 @@ struct FlowSlot {
 /// ```
 #[derive(Debug)]
 pub struct FairShareState {
-    capacities: Vec<f64>,
+    inc: Incidence,
     local_bps: f64,
     full_recompute: bool,
-    slots: Vec<FlowSlot>,
     rates: Vec<f64>,
     free: Vec<u32>,
-    /// link -> active entries crossing it, one entry per crossing (an
-    /// entry listing a link twice appears twice).
-    link_flows: Vec<Vec<u32>>,
     /// Active member flows (weights summed), local (link-less) included.
     active: usize,
     /// Scoped threads a multi-component solve may fan out over
     /// (1 = sequential). Rates are identical at any width.
     parallel: usize,
-
-    // Stamped scratch maps: an entry is valid iff its stamp equals
-    // `stamp`, so per-solve clearing is O(touched), not O(total).
-    stamp: u64,
-    flow_mark: Vec<u64>,
-    flow_local: Vec<u32>,
-    link_mark: Vec<u64>,
-    link_local: Vec<u32>,
+    walk: Walk,
+    fill: Fill,
+    /// Per-entry fill stamps: an entry is frozen iff its stamp equals
+    /// `pass`, so a fill never clears them.
+    frozen: Vec<u64>,
+    pass: u64,
 
     // Instrumentation for benches and the DESIGN ablation.
     solves: u64,
@@ -250,20 +548,26 @@ impl FairShareState {
     pub fn new(capacities: Vec<f64>, local_bps: f64) -> Self {
         let n_links = capacities.len();
         FairShareState {
-            capacities,
+            inc: Incidence {
+                capacities,
+                slots: Vec::new(),
+                link_flows: vec![Vec::new(); n_links],
+                link_weight: vec![0; n_links],
+            },
             local_bps,
             full_recompute: false,
-            slots: Vec::new(),
             rates: Vec::new(),
             free: Vec::new(),
-            link_flows: vec![Vec::new(); n_links],
             active: 0,
             parallel: 1,
-            stamp: 0,
-            flow_mark: Vec::new(),
-            flow_local: Vec::new(),
-            link_mark: vec![0; n_links],
-            link_local: vec![0; n_links],
+            walk: Walk {
+                link_mark: vec![0; n_links],
+                link_local: vec![0; n_links],
+                ..Walk::default()
+            },
+            fill: Fill::default(),
+            frozen: Vec::new(),
+            pass: 0,
             solves: 0,
             solved_flows: 0,
         }
@@ -312,26 +616,28 @@ impl FairShareState {
         assert!(weight > 0, "a fair-share entry needs at least one member");
         for &l in links {
             assert!(
-                (l as usize) < self.capacities.len(),
+                (l as usize) < self.inc.capacities.len(),
                 "link {l} out of range"
             );
         }
         let id = if let Some(slot) = self.free.pop() {
-            self.slots[slot as usize].links.clear();
-            self.slots[slot as usize].links.extend_from_slice(links);
-            self.slots[slot as usize].weight = weight;
-            self.slots[slot as usize].alive = true;
+            let s = &mut self.inc.slots[slot as usize];
+            s.links.clear();
+            s.links.extend_from_slice(links);
+            s.weight = weight;
+            s.alive = true;
             slot
         } else {
-            self.slots.push(FlowSlot {
+            self.inc.slots.push(FlowSlot {
                 links: links.to_vec(),
                 weight,
                 alive: true,
             });
             self.rates.push(0.0);
-            self.flow_mark.push(0);
-            self.flow_local.push(0);
-            (self.slots.len() - 1) as u32
+            self.frozen.push(0);
+            self.walk.flow_mark.push(0);
+            self.walk.flow_local.push(0);
+            (self.inc.slots.len() - 1) as u32
         };
         self.active += weight as usize;
         if links.is_empty() {
@@ -339,9 +645,14 @@ impl FairShareState {
             return FairFlowId(id);
         }
         for &l in links {
-            self.link_flows[l as usize].push(id);
+            self.inc.link_flows[l as usize].push(id);
+            self.inc.link_weight[l as usize] += weight;
         }
-        self.resolve_around(&[id]);
+        if !self.full_recompute && self.walk.absorb(&self.inc, id) {
+            self.fill_cached();
+        } else {
+            self.resolve(Seeds::Entry(id));
+        }
         FairFlowId(id)
     }
 
@@ -353,17 +664,9 @@ impl FairShareState {
     ///
     /// Panics if the handle is stale or `dw` is zero.
     pub fn add_weight(&mut self, id: FairFlowId, dw: u32) {
-        let slot = id.0 as usize;
-        assert!(
-            self.slots.get(slot).is_some_and(|s| s.alive),
-            "add_weight on stale handle {id:?}"
-        );
+        self.assert_alive(id, "add_weight on");
         assert!(dw > 0, "weight delta must be positive");
-        self.slots[slot].weight += dw;
-        self.active += dw as usize;
-        if !self.slots[slot].links.is_empty() {
-            self.resolve_around(&[id.0]);
-        }
+        self.reweight(id.0, |w| w + dw);
     }
 
     /// Removes `dw` members from a bundle and re-solves its component.
@@ -375,20 +678,27 @@ impl FairShareState {
     /// Panics if the handle is stale, `dw` is zero, or `dw` is not
     /// strictly less than the current weight.
     pub fn sub_weight(&mut self, id: FairFlowId, dw: u32) {
-        let slot = id.0 as usize;
-        assert!(
-            self.slots.get(slot).is_some_and(|s| s.alive),
-            "sub_weight on stale handle {id:?}"
-        );
-        let w = self.slots[slot].weight;
+        self.assert_alive(id, "sub_weight on");
+        let w = self.inc.slots[id.0 as usize].weight;
         assert!(
             dw > 0 && dw < w,
             "sub_weight({dw}) must leave at least one of {w} members"
         );
-        self.slots[slot].weight = w - dw;
-        self.active -= dw as usize;
-        if !self.slots[slot].links.is_empty() {
-            self.resolve_around(&[id.0]);
+        self.reweight(id.0, |w| w - dw);
+    }
+
+    /// Sets entry `slot`'s weight to `new(weight)`, applying the same
+    /// change to its links' weight sums, and re-solves its component.
+    fn reweight(&mut self, slot: u32, new: impl Fn(u32) -> u32) {
+        let s = &mut self.inc.slots[slot as usize];
+        self.active = self.active - s.weight as usize + new(s.weight) as usize;
+        s.weight = new(s.weight);
+        for &l in &s.links {
+            let lw = &mut self.inc.link_weight[l as usize];
+            *lw = new(*lw);
+        }
+        if let Some(&first) = self.inc.slots[slot as usize].links.first() {
+            self.resolve_at(first, Seeds::Entry(slot));
         }
     }
 
@@ -399,41 +709,41 @@ impl FairShareState {
     /// Panics if the handle is stale.
     #[must_use]
     pub fn weight(&self, id: FairFlowId) -> u32 {
-        let slot = id.0 as usize;
-        assert!(
-            self.slots.get(slot).is_some_and(|s| s.alive),
-            "weight of stale handle {id:?}"
-        );
-        self.slots[slot].weight
+        self.assert_alive(id, "weight of");
+        self.inc.slots[id.0 as usize].weight
     }
 
     /// Unregisters a flow and re-solves the component it left behind
     /// (which may have split into several; solving their union is
-    /// equivalent).
+    /// equivalent). A removal is the only mutation that can split a
+    /// component, so it always walks.
     ///
     /// # Panics
     ///
     /// Panics if the handle is stale (already removed).
     pub fn remove_flow(&mut self, id: FairFlowId) {
+        self.assert_alive(id, "remove_flow on");
         let slot = id.0 as usize;
-        assert!(
-            self.slots.get(slot).is_some_and(|s| s.alive),
-            "remove_flow on stale handle {id:?}"
-        );
-        self.slots[slot].alive = false;
+        let s = &mut self.inc.slots[slot];
+        s.alive = false;
+        self.active -= s.weight as usize;
+        let w = std::mem::take(&mut s.weight);
         self.rates[slot] = 0.0;
-        self.active -= self.slots[slot].weight as usize;
-        self.slots[slot].weight = 0;
-        let links = std::mem::take(&mut self.slots[slot].links);
         self.free.push(id.0);
-        // The orphaned neighbours seed the walk; repeats are skipped there.
-        let mut seeds: Vec<u32> = Vec::new();
-        for &l in &links {
-            self.link_flows[l as usize].retain(|&f| f != id.0);
-            seeds.extend_from_slice(&self.link_flows[l as usize]);
+        if s.links.is_empty() {
+            return;
         }
-        if !seeds.is_empty() {
-            self.resolve_around(&seeds);
+        let mut orphans = false;
+        for &l in &s.links {
+            let l = l as usize;
+            self.inc.link_flows[l].retain(|&f| f != id.0);
+            self.inc.link_weight[l] -= w;
+            orphans |= !self.inc.link_flows[l].is_empty();
+        }
+        self.walk.cached = None;
+        // The orphaned neighbours seed the walk; repeats are skipped there.
+        if orphans {
+            self.resolve(Seeds::Neighbours(id.0));
         }
     }
 
@@ -450,17 +760,16 @@ impl FairShareState {
     /// finite non-negative number.
     pub fn set_capacity(&mut self, link: u32, bps: f64) {
         assert!(
-            (link as usize) < self.capacities.len(),
+            (link as usize) < self.inc.capacities.len(),
             "link {link} out of range"
         );
         assert!(
             bps.is_finite() && bps >= 0.0,
             "capacity must be finite and non-negative, got {bps}"
         );
-        self.capacities[link as usize] = bps;
-        let seeds = self.link_flows[link as usize].clone();
-        if !seeds.is_empty() {
-            self.resolve_around(&seeds);
+        self.inc.capacities[link as usize] = bps;
+        if !self.inc.link_flows[link as usize].is_empty() {
+            self.resolve_at(link, Seeds::Link(link));
         }
     }
 
@@ -472,18 +781,15 @@ impl FairShareState {
     /// Panics if the handle is stale.
     #[must_use]
     pub fn rate(&self, id: FairFlowId) -> f64 {
-        let slot = id.0 as usize;
-        assert!(
-            self.slots.get(slot).is_some_and(|s| s.alive),
-            "rate of stale handle {id:?}"
-        );
-        self.rates[slot]
+        self.assert_alive(id, "rate of");
+        self.rates[id.0 as usize]
     }
 
     /// Rates of every active flow, sorted by handle.
     #[must_use]
     pub fn rates(&self) -> Vec<(FairFlowId, f64)> {
-        self.slots
+        self.inc
+            .slots
             .iter()
             .enumerate()
             .filter(|(_, s)| s.alive)
@@ -512,191 +818,120 @@ impl FairShareState {
         self.solved_flows
     }
 
-    /// Re-solves every link-connected component reachable from `seeds`
-    /// (entries), or from every live entry under full recompute. A BFS
-    /// from each unvisited start collects one component, and each is
-    /// filled independently (on scoped threads when
+    fn assert_alive(&self, id: FairFlowId, what: &str) {
+        assert!(
+            self.inc.slots.get(id.0 as usize).is_some_and(|s| s.alive),
+            "{what} stale handle {id:?}"
+        );
+    }
+
+    /// Re-solves the component holding `link`: a fill of the cached
+    /// component when it is the one, a walk from `seeds` otherwise.
+    fn resolve_at(&mut self, link: u32, seeds: Seeds) {
+        if !self.full_recompute && self.walk.caches(link) {
+            self.fill_cached();
+        } else {
+            self.resolve(seeds);
+        }
+    }
+
+    /// Fills the cached component with no walk. It is exactly one
+    /// link-connected component, so the fill and the instrumentation are
+    /// what a walk from any of its entries would have led to.
+    fn fill_cached(&mut self) {
+        #[cfg(debug_assertions)]
+        self.walk.check(&self.inc);
+        let entries = self.walk.cached.expect("a cached component");
+        self.solves += 1;
+        self.solved_flows += entries as u64;
+        self.fill_in_place(0..self.walk.links.len());
+    }
+
+    /// Re-solves every link-connected component reachable from `seeds`,
+    /// or from every live entry under full recompute. A BFS from each
+    /// unvisited start collects one component, and each is filled
+    /// independently (on scoped threads when
     /// [`with_parallel`](Self::with_parallel) allows). Per the module's
     /// equivalence argument the rates are bit-identical to
     /// [`max_min_rates`] over the active set, and untouched components
     /// keep theirs.
-    fn resolve_around(&mut self, seeds: &[u32]) {
+    fn resolve(&mut self, seeds: Seeds) {
         self.solves += 1;
-        let (seeds, every): (&[u32], u32) = if self.full_recompute {
-            (&[], self.slots.len() as u32)
+        let seeds = if self.full_recompute {
+            Seeds::Every
         } else {
-            (seeds, 0)
+            seeds
         };
-        // Stamped BFS writing component-relative local indices into the
-        // scratch maps. Flattened storage, one (member, link) range per
-        // component.
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let mut members: Vec<u32> = Vec::new();
-        let mut links: Vec<u32> = Vec::new();
-        let mut comps: Vec<(usize, usize, usize, usize)> = Vec::new();
-        for start in seeds.iter().copied().chain(0..every) {
-            let start = start as usize;
-            if !self.slots[start].alive
-                || self.slots[start].links.is_empty()
-                || self.flow_mark[start] == stamp
-            {
-                continue;
-            }
-            let (ms, ls) = (members.len(), links.len());
-            self.flow_mark[start] = stamp;
-            self.flow_local[start] = 0;
-            members.push(start as u32);
-            let mut head = ms;
-            while head < members.len() {
-                let f = members[head] as usize;
-                head += 1;
-                for li in 0..self.slots[f].links.len() {
-                    let l = self.slots[f].links[li] as usize;
-                    if self.link_mark[l] != stamp {
-                        self.link_mark[l] = stamp;
-                        self.link_local[l] = (links.len() - ls) as u32;
-                        links.push(l as u32);
-                        for gi in 0..self.link_flows[l].len() {
-                            let g = self.link_flows[l][gi] as usize;
-                            if self.flow_mark[g] != stamp {
-                                self.flow_mark[g] = stamp;
-                                self.flow_local[g] = (members.len() - ms) as u32;
-                                members.push(g as u32);
-                            }
-                        }
-                    }
-                }
-            }
-            comps.push((ms, members.len(), ls, links.len()));
-        }
-        self.solved_flows += members.len() as u64;
+        self.walk.run(&self.inc, seeds);
+        let walk = &self.walk;
+        self.solved_flows += walk.members.len() as u64;
 
+        let n = walk.comps.len();
+        let jobs = self.parallel.min(n).max(1);
+        if jobs == 1 || walk.members.len() < 64 {
+            for ci in 0..n {
+                let (_, _, ls, le) = self.walk.comps[ci];
+                self.fill_in_place(ls..le);
+            }
+            return;
+        }
         // Components are link-disjoint, so solving them in parallel
         // shares no state and the rates can be written back in any order;
         // the spawn gate only avoids thread overhead on small solves
         // (rates are identical either way).
-        let solve = |ci: usize| {
-            let (ms, me, ls, le) = comps[ci];
-            solve_component(
-                &self.slots,
-                &self.link_flows,
-                &self.capacities,
-                &self.flow_local,
-                &self.link_local,
-                &members[ms..me],
-                &links[ls..le],
-            )
+        let inc = &self.inc;
+        let solve = |tid: usize| {
+            let mut fill = Fill::default();
+            (tid..n)
+                .step_by(jobs)
+                .map(|ci| {
+                    let (ms, me, ls, le) = walk.comps[ci];
+                    let mut out: Vec<Option<f64>> = vec![None; me - ms];
+                    fill.run(inc, &walk.link_local, &walk.links[ls..le], |f, share| {
+                        let rate = &mut out[walk.flow_local[f as usize] as usize];
+                        rate.replace(share).is_none()
+                    });
+                    (ci, out)
+                })
+                .collect::<Vec<_>>()
         };
-        let n = comps.len();
-        let jobs = self.parallel.min(n).max(1);
-        let solved: Vec<(usize, Vec<f64>)> = if jobs > 1 && members.len() >= 64 {
+        let solved: Vec<(usize, Vec<Option<f64>>)> = std::thread::scope(|s| {
             let solve = &solve;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|tid| {
-                        s.spawn(move || {
-                            (tid..n)
-                                .step_by(jobs)
-                                .map(|ci| (ci, solve(ci)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("component solver thread"))
-                    .collect()
-            })
-        } else {
-            (0..n).map(|ci| (ci, solve(ci))).collect()
-        };
+            let handles: Vec<_> = (0..jobs).map(|tid| s.spawn(move || solve(tid))).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("component solver thread"))
+                .collect()
+        });
         for (ci, out) in solved {
-            let (ms, me, _, _) = comps[ci];
-            for (&f, r) in members[ms..me].iter().zip(out) {
-                self.rates[f as usize] = r;
+            let (ms, me, _, _) = walk.comps[ci];
+            for (&f, r) in walk.members[ms..me].iter().zip(out) {
+                self.rates[f as usize] = r.expect("every member freezes");
             }
         }
     }
-}
 
-/// Weighted progressive filling over one link-connected component.
-/// `flow_local` / `link_local` map global ids to component-relative
-/// indices (valid for every member/link of this component); returns the
-/// per-member rate of each entry, indexed like `members`.
-///
-/// The arithmetic is [`max_min_rates`]'s exactly, with each weight-`w`
-/// entry standing for `w` interleaved member freezes (see the module's
-/// weighted-entries section for why that is bit-identical).
-fn solve_component(
-    slots: &[FlowSlot],
-    link_flows: &[Vec<u32>],
-    capacities: &[f64],
-    flow_local: &[u32],
-    link_local: &[u32],
-    members: &[u32],
-    comp_links: &[u32],
-) -> Vec<f64> {
-    let mut remaining: Vec<f64> = comp_links.iter().map(|&l| capacities[l as usize]).collect();
-    // All entries crossing a component link are members by closure, so
-    // the unfrozen count starts at the full member (weight) total.
-    let mut unfrozen: Vec<u32> = comp_links
-        .iter()
-        .map(|&l| {
-            link_flows[l as usize]
-                .iter()
-                .map(|&f| slots[f as usize].weight)
-                .sum()
-        })
-        .collect();
-    let mut frozen: Vec<bool> = vec![false; members.len()];
-    let mut out: Vec<f64> = vec![0.0; members.len()];
-
-    loop {
-        // Bottleneck: smallest share; ties break on the smallest global
-        // link id, exactly like the full solver's ascending link scan.
-        let mut best: Option<(f64, u32, usize)> = None;
-        for (j, (&count, &global)) in unfrozen.iter().zip(comp_links).enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let share = (remaining[j] / f64::from(count)).max(0.0);
-            match best {
-                Some((s, g, _)) if s < share || (s == share && g < global) => {}
-                _ => best = Some((share, global, j)),
-            }
-        }
-        let Some((share, _, bottleneck)) = best else {
-            break;
-        };
-        for &f in &link_flows[comp_links[bottleneck] as usize] {
-            let local = flow_local[f as usize] as usize;
-            if frozen[local] {
-                continue;
-            }
-            frozen[local] = true;
-            out[local] = share;
-            let w = slots[f as usize].weight;
-            for &l in &slots[f as usize].links {
-                let lj = link_local[l as usize] as usize;
-                unfrozen[lj] -= w;
-                if unfrozen[lj] == 0 {
-                    // This freeze emptied the link: its `remaining` is
-                    // never read again, so the member-wise drain below
-                    // would be dead work — O(links), not O(members).
-                    continue;
+    /// Fills the component whose links are `walk.links[range]`, writing
+    /// the rates in place.
+    fn fill_in_place(&mut self, range: std::ops::Range<usize>) {
+        self.pass += 1;
+        let pass = self.pass;
+        let (rates, frozen) = (&mut self.rates, &mut self.frozen);
+        self.fill.run(
+            &self.inc,
+            &self.walk.link_local,
+            &self.walk.links[range],
+            |f, share| {
+                let f = f as usize;
+                if frozen[f] == pass {
+                    return false;
                 }
-                // The member-wise rounding sequence, one literal
-                // subtract-and-clamp per member crossing.
-                let mut rem = remaining[lj];
-                for _ in 0..w {
-                    rem = (rem - share).max(0.0);
-                }
-                remaining[lj] = rem;
-            }
-        }
+                frozen[f] = pass;
+                rates[f] = share;
+                true
+            },
+        );
     }
-    out
 }
 
 #[cfg(test)]

@@ -550,7 +550,7 @@ fn inject(
     specs: Vec<FlowSpec>,
     t: SimTime,
     flows: &mut Vec<FlowSpec>,
-    results: &mut Vec<Option<FlowResult>>,
+    ends: &mut Vec<Option<SimTime>>,
     member_of: &mut Vec<Option<(u32, u128)>>,
     queue: &mut EventQueue<Ev>,
 ) {
@@ -558,7 +558,7 @@ fn inject(
         spec.start = spec.start.max(t);
         let id = flows.len();
         flows.push(spec);
-        results.push(None);
+        ends.push(None);
         member_of.push(None);
         queue.push(spec.start, Ev::Arrive { id });
     }
@@ -652,10 +652,11 @@ pub fn simulate(
     let capacities = topo.capacities();
     let mut link_bytes = vec![0u64; capacities.len()];
 
-    // The flow arena: grows as the source injects. Results and bundle
-    // membership share its indexing (= FlowId = injection order).
+    // The flow arena: grows as the source injects. Finish times (`ends`) and
+    // bundle membership share its indexing (= FlowId = injection order);
+    // a flow's `FlowResult` is its spec plus its finish time.
     let mut flows: Vec<FlowSpec> = source.on_start();
-    let mut results: Vec<Option<FlowResult>> = vec![None; flows.len()];
+    let mut ends: Vec<Option<SimTime>> = vec![None; flows.len()];
     let mut member_of: Vec<Option<(u32, u128)>> = vec![None; flows.len()];
 
     let mut engine: Engine<Ev> = Engine::new();
@@ -752,9 +753,12 @@ pub fn simulate(
             Ev::Notify { id } => {
                 // Completion callback: the source may release dependents.
                 events += 1;
-                let result = results[id].expect("notified flow has a result");
+                let result = FlowResult {
+                    spec: flows[id],
+                    finish: ends[id].expect("notified flow has finished"),
+                };
                 let released = source.on_flow_complete(FlowId(id), &result);
-                inject(released, t, &mut flows, &mut results, &mut member_of, queue);
+                inject(released, t, &mut flows, &mut ends, &mut member_of, queue);
                 return; // fluid state untouched
             }
             Ev::Fault { idx } => schedule.events()[idx].at().as_secs_f64(),
@@ -824,8 +828,7 @@ pub fn simulate(
                 fstats.lost_bytes += lost;
                 fstats.delivered_bytes += spec.bytes - lost;
                 fstats.aborted.push(idx);
-                let finish = SimTime::from_secs_f64(now).max(t);
-                results[idx] = Some(FlowResult { spec, finish });
+                ends[idx] = Some(SimTime::from_secs_f64(now).max(t));
                 // No re-issue callback here: a diverged run must drain,
                 // not refill.
             }
@@ -893,11 +896,11 @@ pub fn simulate(
                     );
                     fstats.aborted.push(id);
                     fstats.lost_bytes += spec.bytes;
-                    let result = FlowResult { spec, finish: t };
-                    results[id] = Some(result);
+                    ends[id] = Some(t);
                     if !diverged {
+                        let result = FlowResult { spec, finish: t };
                         let reissued = source.on_flow_aborted(FlowId(id), &result, spec.bytes);
-                        inject(reissued, t, &mut flows, &mut results, &mut member_of, queue);
+                        inject(reissued, t, &mut flows, &mut ends, &mut member_of, queue);
                     }
                 } else {
                     for &l in &links {
@@ -925,7 +928,7 @@ pub fn simulate(
                             || format!("mice fast-path, fct_us={:.3}", fct * 1e6),
                         );
                         fstats.delivered_bytes += spec.bytes;
-                        results[id] = Some(FlowResult { spec, finish });
+                        ends[id] = Some(finish);
                         queue.push(finish.max(t), Ev::Notify { id });
                     } else {
                         // Propagation charged up front as extra "bits" at
@@ -1014,7 +1017,7 @@ pub fn simulate(
                         || format!("fct_us={fct_us:.3}"),
                     );
                     fstats.delivered_bytes += spec.bytes;
-                    results[id] = Some(FlowResult { spec, finish });
+                    ends[id] = Some(finish);
                     queue.push(finish.max(t), Ev::Notify { id });
                 }
             }
@@ -1166,10 +1169,10 @@ pub fn simulate(
                     fstats.delivered_bytes += spec.bytes - lost;
                     fstats.aborted.push(id);
                     let finish = SimTime::from_secs_f64(now).max(t);
+                    ends[id] = Some(finish);
                     let result = FlowResult { spec, finish };
-                    results[id] = Some(result);
                     let reissued = source.on_flow_aborted(FlowId(id), &result, lost);
-                    inject(reissued, t, &mut flows, &mut results, &mut member_of, queue);
+                    inject(reissued, t, &mut flows, &mut ends, &mut member_of, queue);
                 }
                 if let Some(l) = reroute_mask {
                     // Zero the dead link's share only after its bundles
@@ -1223,9 +1226,13 @@ pub fn simulate(
     }
 
     SimReport {
-        results: results
+        results: flows
             .into_iter()
-            .map(|r| r.expect("every flow completes or aborts"))
+            .zip(ends)
+            .map(|(spec, finish)| FlowResult {
+                spec,
+                finish: finish.expect("every flow completes or aborts"),
+            })
             .collect(),
         link_bytes,
         peak_active,
@@ -1463,7 +1470,7 @@ pub(crate) mod tests {
         };
         let report = run_source(&topo, &mut source, &FaultSchedule::empty());
         assert_eq!(report.results.len(), 2);
-        // Parent runs alone (~1 s), child starts only after it finishes.
+        // Parent runs alone (~1 s), child starts only after it ends.
         let parent = report.results[0];
         let child = report.results[1];
         assert!((parent.fct().as_secs_f64() - 1.0).abs() < 0.01);

@@ -212,6 +212,113 @@ proptest! {
         }
     }
 
+    /// Every mutation kind — weighted inserts, weight changes, capacity
+    /// changes and removals — leaves rates bitwise equal to from-scratch
+    /// progressive filling over the members (each weight-`w` entry
+    /// expanded to `w` flows), and each solve re-rates exactly the
+    /// entries of the components a from-scratch walk reaches from the
+    /// mutation's links. Inserts into and re-weightings of one
+    /// component skip the walk; the exact `solved_flows` count is what
+    /// keeps that shortcut from covering more or less than the
+    /// component.
+    #[test]
+    fn cached_component_solves_match_full_and_walk(
+        caps in prop::collection::vec(1.0f64..1e9, 1..12),
+        ops in prop::collection::vec(
+            (0u32..6, prop::collection::vec(0u32..12, 0..4), 0usize..64, 1u32..4, 0.0f64..1e9),
+            1..80
+        ),
+    ) {
+        use keddah::netsim::fair::{max_min_rates, FairFlowId, FairShareState};
+
+        /// Entries a from-scratch walk reaches from `start` links.
+        fn reach(live: &[(FairFlowId, Vec<u32>, u32)], start: &[u32]) -> u64 {
+            let mut links: Vec<u32> = start.to_vec();
+            let mut seen = vec![false; live.len()];
+            let mut head = 0;
+            while head < links.len() {
+                let l = links[head];
+                head += 1;
+                for (i, (_, ls, _)) in live.iter().enumerate() {
+                    if !seen[i] && ls.contains(&l) {
+                        seen[i] = true;
+                        links.extend(ls.iter().filter(|m| !links.contains(m)).collect::<Vec<_>>());
+                    }
+                }
+            }
+            seen.iter().filter(|&&s| s).count() as u64
+        }
+
+        let mut caps = caps;
+        let n = caps.len() as u32;
+        let mut state = FairShareState::new(caps.clone(), 1e10);
+        // Live entries in handle order: (handle, links, weight).
+        let mut live: Vec<(FairFlowId, Vec<u32>, u32)> = Vec::new();
+        for (action, raw_links, pick, w, cap) in ops {
+            let mut links: Vec<u32> = raw_links.iter().map(|&l| l % n).collect();
+            if action == 5 {
+                // Force a double crossing of one link.
+                if let Some(&first) = links.first() {
+                    links = vec![first, first];
+                }
+            }
+            let (solves, solved) = (state.solves(), state.solved_flows());
+            let e = if live.is_empty() { None } else { Some(pick % live.len()) };
+            // The links whose components the mutation dirties.
+            let start: Vec<u32> = match (action, e) {
+                (0, Some(e)) => {
+                    let (id, links, _) = live.remove(e);
+                    state.remove_flow(id);
+                    links
+                }
+                (2, Some(e)) => {
+                    state.add_weight(live[e].0, w);
+                    live[e].2 += w;
+                    live[e].1.clone()
+                }
+                (3, Some(e)) if live[e].2 > 1 => {
+                    let dw = 1 + (w - 1) % (live[e].2 - 1);
+                    state.sub_weight(live[e].0, dw);
+                    live[e].2 -= dw;
+                    live[e].1.clone()
+                }
+                (4, _) => {
+                    let l = pick as u32 % n;
+                    caps[l as usize] = if pick % 5 == 0 { 0.0 } else { cap };
+                    state.set_capacity(l, caps[l as usize]);
+                    vec![l]
+                }
+                _ => {
+                    let id = state.insert_weighted(&links, w);
+                    live.push((id, links.clone(), w));
+                    live.sort_by_key(|&(id, _, _)| id);
+                    links
+                }
+            };
+            let walked = reach(&live, &start);
+            prop_assert_eq!(state.solved_flows() - solved, walked);
+            prop_assert_eq!(state.solves() - solves, u64::from(walked > 0));
+
+            // Shadow solve from scratch over the expanded members.
+            let mut flow_links: Vec<Vec<u32>> = Vec::new();
+            let mut first_member: Vec<usize> = Vec::new();
+            for (_, links, weight) in &live {
+                first_member.push(flow_links.len());
+                for _ in 0..*weight {
+                    flow_links.push(links.clone());
+                }
+            }
+            let want = max_min_rates(&flow_links, &caps, 1e10);
+            for ((id, _, _), &m) in live.iter().zip(&first_member) {
+                let got = state.rate(*id);
+                prop_assert_eq!(
+                    got.to_bits(), want[m].to_bits(),
+                    "entry {:?}: incremental {} != full {}", id, got, want[m]
+                );
+            }
+        }
+    }
+
     /// Per-flow rates recovered from weighted flow bundles are
     /// bit-identical to the unaggregated per-flow solve, on arbitrary
     /// topologies, path mixes and churn orders — the equivalence the
