@@ -57,10 +57,7 @@ fn main() {
     );
 
     let topo = Topology::leaf_spine(6, 4, 3, 1e9, 2.0);
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
     let mut source = StaticSource::new(jobs_to_flows(&jobs, &topo).expect("mix fits fabric"));
     let report = replay_source_observed(&topo, &mut source, opts, &Obs::disabled());
     println!(

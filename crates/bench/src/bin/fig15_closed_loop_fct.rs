@@ -41,10 +41,7 @@ fn main() {
     // The capture testbed ran at 1 Gb/s non-blocking; replay on a 4x
     // oversubscribed fabric so the disciplines diverge.
     let topo = Topology::leaf_spine(6, 4, 3, 1e9, 4.0);
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
 
     let mut source = TraceSource::new(trace, &topo).expect("trace fits topology");
     println!(

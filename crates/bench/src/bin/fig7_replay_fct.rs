@@ -27,10 +27,7 @@ fn main() {
 
     // 21 hosts needed (20 workers + master): 6 racks x 4 hosts.
     let topo = Topology::leaf_spine(6, 4, 3, 1e9, 1.0);
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
 
     let trace_flows = trace_to_flows(&traces[0], &topo).expect("trace fits topology");
     let model_flows = jobs_to_flows(&[model.generate_job(1)], &topo).expect("job fits topology");

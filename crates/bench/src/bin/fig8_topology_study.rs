@@ -34,10 +34,7 @@ fn main() {
         Topology::leaf_spine(6, 4, 4, 1e9, 4.0),
         Topology::fat_tree(6, 1e9),
     ];
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
 
     println!(
         "{:<42} {:>10} {:>10} {:>10} {:>10}",

@@ -24,10 +24,7 @@ fn main() {
     );
     let model = Keddah::fit(&traces).expect("terasort models");
     let topo = Topology::leaf_spine(6, 4, 3, 1e9, 2.0);
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
 
     println!(
         "{:>5} {:>10} {:>12} {:>12} {:>12} {:>12}",

@@ -27,7 +27,8 @@ pub fn runner() -> Runner {
 /// otherwise one per available core. Results never depend on this — the
 /// runner's derived seeds make output identical at any width.
 #[must_use]
-// A bench-binary knob, read at the harness edge.
+// A bench-binary knob, read with the host's core count at the harness
+// edge.
 #[allow(clippy::disallowed_methods)]
 pub fn jobs_from_env() -> usize {
     std::env::var("KEDDAH_JOBS")

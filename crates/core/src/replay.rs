@@ -32,8 +32,6 @@
 //! wall-clock only:
 //!
 //! - [`SimOptions::aggregate`] collapses same-path flows into bundles;
-//! - [`SimOptions::solver_jobs`] fans the independent components of one
-//!   fair-share solve out over threads (`1` is sequential);
 //! - [`SimOptions::full_recompute`] re-solves every component on every
 //!   event instead of only the ones an event dirtied.
 //!

@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 
 use keddah_flowcap::{Component, FlowRecord};
@@ -440,6 +440,60 @@ impl BudgetedSweep {
     }
 }
 
+/// Maps `f` over `items` on up to `jobs` scoped worker threads (clamped
+/// to at least 1 and at most one per item) and returns the results in
+/// `items` order.
+///
+/// Workers pull the next unclaimed item from a shared index, so unequal
+/// items load-balance without static partitioning, and the output never
+/// depends on `jobs` or on scheduling as long as `f` itself is a pure
+/// function of its item.
+///
+/// # Panics
+///
+/// Re-raises the panic of any call to `f`.
+///
+/// # Examples
+///
+/// ```
+/// use keddah_core::runner::par_map;
+///
+/// let squares = par_map(&[1u64, 2, 3, 4, 5], 3, |&x| x * x);
+/// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
+/// ```
+pub fn par_map<T: Sync, R: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.clamp(1, items.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return done;
+                        };
+                        done.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every item mapped"))
+        .collect()
+}
+
 /// The experiment engine: runs matrix cells across worker threads with
 /// derived seeds and a per-cell result cache.
 ///
@@ -500,37 +554,7 @@ impl Runner {
     /// validation, or fitting panicked).
     #[must_use]
     pub fn run_matrix(&self, cells: &[MatrixCell], parallelism: usize) -> Vec<CellResult> {
-        if cells.is_empty() {
-            return Vec::new();
-        }
-        let workers = parallelism.clamp(1, cells.len());
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, CellResult)>();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    let result = self.run_cell(&cells[i]);
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-        });
-        drop(tx);
-        let mut slots: Vec<Option<CellResult>> = cells.iter().map(|_| None).collect();
-        for (i, result) in rx {
-            slots[i] = Some(result);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every cell completed"))
-            .collect()
+        par_map(cells, parallelism, |cell| self.run_cell(cell))
     }
 
     /// [`Runner::run_matrix`], folding every cell's aggregates into
@@ -745,6 +769,27 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_map_keeps_item_order_at_any_width() {
+        let items: Vec<u64> = (0..50).collect();
+        // Uneven work, so workers finish out of order.
+        let f = |&x: &u64| (0..(x % 7) * 10_000).fold(x, |a, b| a ^ b);
+        let want: Vec<u64> = items.iter().map(f).collect();
+        for jobs in [0, 1, 3, 64] {
+            assert_eq!(par_map(&items, jobs, f), want, "jobs {jobs}");
+        }
+        assert!(par_map(&[] as &[u64], 4, f).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 is bad")]
+    fn par_map_re_raises_a_worker_panic() {
+        let _ = par_map(&[1, 2, 3, 4], 2, |&x| {
+            assert!(x != 3, "item {x} is bad");
+            x
+        });
+    }
 
     fn small_cell(workload: Workload) -> MatrixCell {
         MatrixCell::new(

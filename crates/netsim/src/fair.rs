@@ -91,16 +91,13 @@
 //! Debug builds re-walk the component on every cached fill and assert
 //! the same link set and entry count.
 //!
-//! # Parallel component solves
+//! # One sequential fill
 //!
-//! [`with_parallel`](FairShareState::with_parallel) lets a mutation whose
-//! dirty set spans several components (every component, under full
-//! recompute) solve them on scoped threads. Components are
-//! link-disjoint, so their solves share no state and each writes back
-//! only its own entries' rates. By the equivalence argument above the
-//! rates are bit-identical at any thread count — the determinism suite
-//! pins solver width (including the sequential `solver_jobs: 1` oracle)
-//! as a no-op on replay output.
+//! A mutation whose dirty set spans several components (every
+//! component, under full recompute) fills them one after another with
+//! the same scratch. Components are link-disjoint, so each fill writes
+//! only its own entries' rates; no solve fans out over threads, and the
+//! rates depend on the flow set alone, never on the host.
 //!
 //! [`insert_flow`]: FairShareState::insert_flow
 //! [`insert_weighted`]: FairShareState::insert_weighted
@@ -262,15 +259,14 @@ enum Seeds {
 struct Walk {
     stamp: u64,
     flow_mark: Vec<u64>,
-    flow_local: Vec<u32>,
     link_mark: Vec<u64>,
     link_local: Vec<u32>,
     /// Members of the walked components, flattened (the BFS queue).
     members: Vec<u32>,
     /// Links of the walked components, flattened.
     links: Vec<u32>,
-    /// `(member start, member end, link start, link end)` per component.
-    comps: Vec<(usize, usize, usize, usize)>,
+    /// `links` range of each walked component.
+    comps: Vec<std::ops::Range<usize>>,
     /// Entry count of the cached component, if the cache is valid.
     cached: Option<usize>,
 }
@@ -307,18 +303,17 @@ impl Walk {
     }
 
     /// BFS from `start` unless it is dead, local or already walked,
-    /// writing component-relative local indices into the scratch maps.
+    /// writing each link's component-relative index into `link_local`.
     fn component_from(&mut self, inc: &Incidence, start: u32) {
         let stamp = self.stamp;
         let s = start as usize;
         if !inc.slots[s].alive || inc.slots[s].links.is_empty() || self.flow_mark[s] == stamp {
             return;
         }
-        let (ms, ls) = (self.members.len(), self.links.len());
+        let ls = self.links.len();
         self.flow_mark[s] = stamp;
-        self.flow_local[s] = 0;
         self.members.push(start);
-        let mut head = ms;
+        let mut head = self.members.len() - 1;
         while head < self.members.len() {
             let f = self.members[head] as usize;
             head += 1;
@@ -333,14 +328,12 @@ impl Walk {
                 for &g in &inc.link_flows[l] {
                     if self.flow_mark[g as usize] != stamp {
                         self.flow_mark[g as usize] = stamp;
-                        self.flow_local[g as usize] = (self.members.len() - ms) as u32;
                         self.members.push(g);
                     }
                 }
             }
         }
-        self.comps
-            .push((ms, self.members.len(), ls, self.links.len()));
+        self.comps.push(ls..self.links.len());
     }
 
     /// True when `link` belongs to the cached component.
@@ -420,26 +413,26 @@ impl Walk {
 struct Fill {
     remaining: Vec<f64>,
     unfrozen: Vec<u32>,
+    /// Per-entry fill stamps: an entry is frozen iff its stamp equals
+    /// `pass`, so a fill never clears them.
+    frozen: Vec<u64>,
+    pass: u64,
 }
 
 impl Fill {
     /// Weighted progressive filling over one link-connected component
     /// whose links are `comp_links` (`link_local` maps each to its
-    /// position there). `freeze(entry, share)` records an entry's
-    /// per-member rate and returns false if the entry was already
-    /// frozen this fill.
+    /// position there), writing each member entry's per-member rate into
+    /// `rates` in place.
     ///
     /// The arithmetic is [`max_min_rates`]'s exactly, with each weight-`w`
     /// entry standing for `w` interleaved member freezes (see the module's
     /// weighted-entries section for why that is bit-identical).
-    fn run(
-        &mut self,
-        inc: &Incidence,
-        link_local: &[u32],
-        comp_links: &[u32],
-        mut freeze: impl FnMut(u32, f64) -> bool,
-    ) {
-        let (remaining, unfrozen) = (&mut self.remaining, &mut self.unfrozen);
+    fn run(&mut self, inc: &Incidence, link_local: &[u32], comp_links: &[u32], rates: &mut [f64]) {
+        self.pass += 1;
+        let pass = self.pass;
+        let (remaining, unfrozen, frozen) =
+            (&mut self.remaining, &mut self.unfrozen, &mut self.frozen);
         remaining.clear();
         remaining.extend(comp_links.iter().map(|&l| inc.capacities[l as usize]));
         // All entries crossing a component link are members by closure, so
@@ -465,9 +458,13 @@ impl Fill {
                 break;
             };
             for &f in &inc.link_flows[comp_links[bottleneck] as usize] {
-                if !freeze(f, share) {
+                // An entry crossing the bottleneck twice is listed twice;
+                // it freezes once.
+                if frozen[f as usize] == pass {
                     continue;
                 }
+                frozen[f as usize] = pass;
+                rates[f as usize] = share;
                 let slot = &inc.slots[f as usize];
                 let w = slot.weight;
                 for &l in &slot.links {
@@ -526,15 +523,8 @@ pub struct FairShareState {
     free: Vec<u32>,
     /// Active member flows (weights summed), local (link-less) included.
     active: usize,
-    /// Scoped threads a multi-component solve may fan out over
-    /// (1 = sequential). Rates are identical at any width.
-    parallel: usize,
     walk: Walk,
     fill: Fill,
-    /// Per-entry fill stamps: an entry is frozen iff its stamp equals
-    /// `pass`, so a fill never clears them.
-    frozen: Vec<u64>,
-    pass: u64,
 
     // Instrumentation for benches and the DESIGN ablation.
     solves: u64,
@@ -559,15 +549,12 @@ impl FairShareState {
             rates: Vec::new(),
             free: Vec::new(),
             active: 0,
-            parallel: 1,
             walk: Walk {
                 link_mark: vec![0; n_links],
                 link_local: vec![0; n_links],
                 ..Walk::default()
             },
             fill: Fill::default(),
-            frozen: Vec::new(),
-            pass: 0,
             solves: 0,
             solved_flows: 0,
         }
@@ -580,16 +567,6 @@ impl FairShareState {
     #[must_use]
     pub fn with_full_recompute(mut self, full: bool) -> Self {
         self.full_recompute = full;
-        self
-    }
-
-    /// Lets a solve spanning several components fan them out over up to
-    /// `jobs` scoped threads (see the module's parallel-solve section).
-    /// Rates are bit-identical at any width; 1 (the default) is
-    /// sequential.
-    #[must_use]
-    pub fn with_parallel(mut self, jobs: usize) -> Self {
-        self.parallel = jobs.max(1);
         self
     }
 
@@ -634,9 +611,8 @@ impl FairShareState {
                 alive: true,
             });
             self.rates.push(0.0);
-            self.frozen.push(0);
+            self.fill.frozen.push(0);
             self.walk.flow_mark.push(0);
-            self.walk.flow_local.push(0);
             (self.inc.slots.len() - 1) as u32
         };
         self.active += weight as usize;
@@ -849,12 +825,10 @@ impl FairShareState {
 
     /// Re-solves every link-connected component reachable from `seeds`,
     /// or from every live entry under full recompute. A BFS from each
-    /// unvisited start collects one component, and each is filled
-    /// independently (on scoped threads when
-    /// [`with_parallel`](Self::with_parallel) allows). Per the module's
-    /// equivalence argument the rates are bit-identical to
-    /// [`max_min_rates`] over the active set, and untouched components
-    /// keep theirs.
+    /// unvisited start collects one component, and each is filled in
+    /// turn. Per the module's equivalence argument the rates are
+    /// bit-identical to [`max_min_rates`] over the active set, and
+    /// untouched components keep theirs.
     fn resolve(&mut self, seeds: Seeds) {
         self.solves += 1;
         let seeds = if self.full_recompute {
@@ -863,73 +837,20 @@ impl FairShareState {
             seeds
         };
         self.walk.run(&self.inc, seeds);
-        let walk = &self.walk;
-        self.solved_flows += walk.members.len() as u64;
-
-        let n = walk.comps.len();
-        let jobs = self.parallel.min(n).max(1);
-        if jobs == 1 || walk.members.len() < 64 {
-            for ci in 0..n {
-                let (_, _, ls, le) = self.walk.comps[ci];
-                self.fill_in_place(ls..le);
-            }
-            return;
-        }
-        // Components are link-disjoint, so solving them in parallel
-        // shares no state and the rates can be written back in any order;
-        // the spawn gate only avoids thread overhead on small solves
-        // (rates are identical either way).
-        let inc = &self.inc;
-        let solve = |tid: usize| {
-            let mut fill = Fill::default();
-            (tid..n)
-                .step_by(jobs)
-                .map(|ci| {
-                    let (ms, me, ls, le) = walk.comps[ci];
-                    let mut out: Vec<Option<f64>> = vec![None; me - ms];
-                    fill.run(inc, &walk.link_local, &walk.links[ls..le], |f, share| {
-                        let rate = &mut out[walk.flow_local[f as usize] as usize];
-                        rate.replace(share).is_none()
-                    });
-                    (ci, out)
-                })
-                .collect::<Vec<_>>()
-        };
-        let solved: Vec<(usize, Vec<Option<f64>>)> = std::thread::scope(|s| {
-            let solve = &solve;
-            let handles: Vec<_> = (0..jobs).map(|tid| s.spawn(move || solve(tid))).collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("component solver thread"))
-                .collect()
-        });
-        for (ci, out) in solved {
-            let (ms, me, _, _) = walk.comps[ci];
-            for (&f, r) in walk.members[ms..me].iter().zip(out) {
-                self.rates[f as usize] = r.expect("every member freezes");
-            }
+        self.solved_flows += self.walk.members.len() as u64;
+        for ci in 0..self.walk.comps.len() {
+            self.fill_in_place(self.walk.comps[ci].clone());
         }
     }
 
     /// Fills the component whose links are `walk.links[range]`, writing
     /// the rates in place.
     fn fill_in_place(&mut self, range: std::ops::Range<usize>) {
-        self.pass += 1;
-        let pass = self.pass;
-        let (rates, frozen) = (&mut self.rates, &mut self.frozen);
         self.fill.run(
             &self.inc,
             &self.walk.link_local,
             &self.walk.links[range],
-            |f, share| {
-                let f = f as usize;
-                if frozen[f] == pass {
-                    return false;
-                }
-                frozen[f] = pass;
-                rates[f] = share;
-                true
-            },
+            &mut self.rates,
         );
     }
 }
@@ -1316,19 +1237,46 @@ mod tests {
         state.sub_weight(b, 2);
     }
 
+    /// Member-expanded `max_min_rates` over weighted entries: the
+    /// per-member rate of each entry.
+    fn expanded_rates(caps: &[f64], entries: &[(Vec<u32>, u32)]) -> Vec<f64> {
+        let members: Vec<Vec<u32>> = entries
+            .iter()
+            .flat_map(|(links, w)| (0..*w).map(move |_| links.clone()))
+            .collect();
+        let rates = max_min_rates(&members, caps, 1e10);
+        let mut first = 0;
+        entries
+            .iter()
+            .map(|(_, w)| {
+                let r = rates[first];
+                first += *w as usize;
+                r
+            })
+            .collect()
+    }
+
     #[test]
-    fn parallel_dense_solve_is_bit_identical() {
+    fn multi_component_solves_match_full_recompute() {
         // Two-link bridges join the links into one ring as they arrive
         // and split it into many components as they leave, so both
-        // directions pass through multi-component solves. Widths 1 and 8,
-        // incremental and full recompute: identical rates, bit for bit.
+        // directions pass through multi-component solves. Incremental and
+        // full recompute must both match the from-scratch solve, bit for
+        // bit, after every step.
         let n_links = 40usize;
         let caps: Vec<f64> = (0..n_links).map(|l| 1e9 + l as f64 * 3.7e7).collect();
-        let build = |jobs: usize, full: bool| {
-            let mut state = FairShareState::new(caps.clone(), 1e10)
-                .with_full_recompute(full)
-                .with_parallel(jobs);
-            let mut ids = Vec::new();
+        for full in [false, true] {
+            let mut state = FairShareState::new(caps.clone(), 1e10).with_full_recompute(full);
+            let mut live: Vec<(FairFlowId, (Vec<u32>, u32))> = Vec::new();
+            let check = |state: &FairShareState, live: &[(FairFlowId, (Vec<u32>, u32))]| {
+                let entries: Vec<_> = live.iter().map(|(_, e)| e.clone()).collect();
+                let got: Vec<f64> = live.iter().map(|&(id, _)| state.rate(id)).collect();
+                assert!(
+                    got == expanded_rates(&caps, &entries),
+                    "full recompute {full}: solve diverged with {} entries",
+                    live.len()
+                );
+            };
             for i in 0..128u32 {
                 let l = (i as usize * 7) % n_links;
                 let links = if i % 3 == 0 {
@@ -1336,21 +1284,37 @@ mod tests {
                 } else {
                     vec![l as u32]
                 };
-                ids.push(state.insert_weighted(&links, 1 + i % 4));
+                let w = 1 + i % 4;
+                live.push((state.insert_weighted(&links, w), (links, w)));
+                check(&state, &live);
             }
-            let mut rates: Vec<f64> = ids.iter().map(|&id| state.rate(id)).collect();
-            for &bridge in ids.iter().step_by(3) {
+            let bridges: Vec<FairFlowId> = live.iter().step_by(3).map(|&(id, _)| id).collect();
+            for bridge in bridges {
                 state.remove_flow(bridge);
-                rates.extend(ids.iter().skip(1).step_by(3).map(|&id| state.rate(id)));
+                live.retain(|&(id, _)| id != bridge);
+                check(&state, &live);
             }
-            rates
-        };
-        let seq = build(1, true);
-        for (jobs, full) in [(8, true), (1, false), (8, false)] {
-            assert!(
-                seq == build(jobs, full),
-                "width {jobs}, full recompute {full}: solve diverged"
-            );
+        }
+
+        // Forty copies of one component: links of capacity 10 and 4, an
+        // entry crossing both, one on the first and three on the second.
+        // The crossing entry freezes at the capacity-4 link's share (1.0)
+        // and must keep it when the capacity-10 link freezes the rest at
+        // 9.0; re-stamping it at 9.0 would load the small link with 12.
+        let mut caps = Vec::new();
+        let mut entries = Vec::new();
+        for c in 0..40u32 {
+            caps.extend([10.0, 4.0]);
+            let (a, b) = (2 * c, 2 * c + 1);
+            entries.extend([vec![a, b], vec![a], vec![b], vec![b], vec![b]].map(|l| (l, 1)));
+        }
+        let want = expanded_rates(&caps, &entries);
+        assert_eq!((want[0], want[1]), (1.0, 9.0));
+        for full in [false, true] {
+            let mut state = FairShareState::new(caps.clone(), 1e10).with_full_recompute(full);
+            let ids: Vec<FairFlowId> = entries.iter().map(|(l, _)| state.insert_flow(l)).collect();
+            let got: Vec<f64> = ids.iter().map(|&id| state.rate(id)).collect();
+            assert!(got == want, "full recompute {full}: {:?}", &got[..5]);
         }
     }
 }

@@ -23,8 +23,7 @@
 //! grouping flows into bundles — or not, via the [`SimOptions::aggregate`]
 //! oracle field — never changes any flow's completion time: the
 //! golden-replay corpus and the determinism suite pin byte-identical
-//! reports across the aggregation, solver-parallelism and full-recompute
-//! fields.
+//! reports across the aggregation and full-recompute fields.
 //!
 //! # Rate classes
 //!
@@ -115,7 +114,8 @@ pub struct SimOptions {
     pub propagation: Duration,
     /// Flows strictly smaller than this bypass the fluid solver and
     /// complete at line rate — the standard "mice fast-path" that keeps
-    /// huge control-plane flow counts tractable. Zero disables it.
+    /// huge control-plane flow counts tractable. Zero disables it; the
+    /// default, 10 000 bytes, is the CLI's `--mouse-bytes` default too.
     pub mouse_threshold: u64,
     /// Rate allotted to host-local flows (loopback), bits/s.
     pub local_bps: f64,
@@ -139,12 +139,8 @@ pub struct SimOptions {
     /// Completion times are identical either way (integer service
     /// accounting; see the module docs). On by default.
     pub aggregate: bool,
-    /// Scoped threads a fair-share solve may fan its independent
-    /// components out over when a mutation dirties several (every
-    /// component, under `full_recompute`). `0` (the default) auto-sizes
-    /// from the host; rates — and hence replay output — are
-    /// byte-identical at any width. `1` forces sequential solves, the
-    /// oracle the determinism suite compares against.
+    /// Ignored: fair-share solves are sequential. Kept only so that
+    /// struct literals naming every field still compile.
     pub solver_jobs: usize,
 }
 
@@ -152,7 +148,7 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             propagation: Duration::from_micros(100),
-            mouse_threshold: 0,
+            mouse_threshold: 10_000,
             local_bps: 10e9,
             tcp_slow_start: false,
             full_recompute: false,
@@ -711,13 +707,8 @@ pub fn simulate(
     // stay bit-identical to full per-flow progressive filling on every
     // event (see `fair`), so every knob below changes wall-clock, never
     // results.
-    let solver_jobs = match options.solver_jobs {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        n => n,
-    };
     let mut fair = FairShareState::new(capacities.clone(), options.local_bps)
-        .with_full_recompute(options.full_recompute)
-        .with_parallel(solver_jobs);
+        .with_full_recompute(options.full_recompute);
     let mut now = 0.0f64;
     let mut peak_active = 0usize;
     // Completion predictions older than the last arrival/retirement are
@@ -1331,10 +1322,7 @@ pub(crate) mod tests {
     #[test]
     fn mice_fast_path() {
         let topo = Topology::star(3, 1e9);
-        let opts = SimOptions {
-            mouse_threshold: 10_000,
-            ..SimOptions::default()
-        };
+        let opts = SimOptions::default();
         // One elephant and many mice: mice finish in ~latency regardless.
         let mut flows = vec![flow(0, 2, 1 << 30, 0)];
         for i in 0..100 {

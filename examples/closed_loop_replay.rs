@@ -37,10 +37,7 @@ fn main() {
 
     // Replay on a fabric 4x more oversubscribed than the testbed.
     let topo = Topology::leaf_spine(5, 4, 4, 1e9, 4.0);
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
 
     let mut source = TraceSource::new(trace, &topo).expect("trace fits topology");
     println!(

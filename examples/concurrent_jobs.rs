@@ -38,10 +38,7 @@ fn main() {
 
     // A 3-rack non-blocking leaf-spine shared by every tenant.
     let topo = Topology::leaf_spine(3, 3, 2, 1e9, 1.0);
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
 
     println!(
         "{:>5} {:>12} {:>14} {:>14} {:>12}",

@@ -58,10 +58,7 @@ fn main() {
     );
 
     let topo = Topology::fat_tree(6, 1e9); // 54 hosts
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
     let flows = jobs_to_flows(&[job], &topo).expect("fits fat-tree");
     let report =
         replay_source_observed(&topo, &mut StaticSource::new(flows), opts, &Obs::disabled());

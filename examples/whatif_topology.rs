@@ -49,10 +49,7 @@ fn main() {
         Topology::fat_tree(6, 1e9), // 54 hosts
     ];
 
-    let opts = SimOptions {
-        mouse_threshold: 10_000, // control mice bypass the fluid solver
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
 
     println!(
         "{:<40} {:>10} {:>10} {:>10} {:>10}",

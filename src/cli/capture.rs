@@ -3,6 +3,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use keddah_core::runner::par_map;
 use keddah_faults::FaultSpec;
 use keddah_flowcap::classify::classify_all;
 use keddah_flowcap::tcpdump::read_text_lenient;
@@ -204,42 +205,15 @@ pub fn run(args: &Args) -> Result<()> {
         cluster.worker_count()
     );
     let seeds: Vec<u64> = (0..repeats).map(|i| seed + u64::from(i)).collect();
-    // Simulate in parallel (workers pull seeds from a shared queue),
-    // then write results in seed order so output is independent of
-    // scheduling.
-    let runs = {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(seeds.len()) {
-                let tx = tx.clone();
-                let (next, seeds, cluster, config, job, faults) =
-                    (&next, &seeds, &cluster, &config, &job, &faults);
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= seeds.len() {
-                        break;
-                    }
-                    let result =
-                        run_job_with_packets_faulted(cluster, config, job, seeds[i], faults);
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-        });
-        drop(tx);
-        let mut slots: Vec<_> = seeds.iter().map(|_| None).collect();
-        for (i, result) in rx {
-            slots[i] = Some(result);
-        }
-        slots
-    };
+    // Simulate in parallel, collected in seed order so output is
+    // independent of scheduling.
+    let runs = par_map(&seeds, jobs, |&s| {
+        run_job_with_packets_faulted(&cluster, &config, &job, s, &faults)
+    });
     // Record in seed order, from the deterministically collected runs,
     // so artefacts are identical for any --jobs value.
     let obs = obs_out::obs_from_args(args);
-    for (&run_seed, slot) in seeds.iter().zip(runs) {
-        let (run, packets) = slot.expect("every repeat completed");
+    for (&run_seed, (run, packets)) in seeds.iter().zip(runs) {
         run.counters.record_obs(&obs);
         obs.add("capture", "runs", 1);
         obs.add("capture", "flows", run.trace.len() as u64);

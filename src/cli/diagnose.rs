@@ -10,6 +10,7 @@ use keddah_hadoop::Workload;
 use keddah_obs::Obs;
 
 use super::fit::load_traces;
+use super::matrix::default_jobs;
 use super::obs_out::{self, METRICS_OUT};
 use super::{err, Args, Result};
 
@@ -175,7 +176,7 @@ fn build_corpus(args: &Args) -> Result<()> {
         return Err(err("--seeds must be at least 1"));
     }
     let jobs = match args.get_num("jobs", 0usize)? {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        0 => default_jobs(),
         n => n,
     };
     let manifest = corpus::build(&out, Workload::PAPER, seeds, jobs)

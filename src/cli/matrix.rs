@@ -46,6 +46,9 @@ const FLAGS: &[&str] = &[
 
 /// The default worker count: one per available core.
 #[must_use]
+// The CLI's `--jobs` default, sized from the host at the program's edge;
+// results never depend on it.
+#[allow(clippy::disallowed_methods)]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }

@@ -86,9 +86,10 @@ pub fn run(args: &Args) -> Result<()> {
 
     if let Some(spec) = args.get("topology") {
         let topo = parse_topology(spec)?;
+        let defaults = SimOptions::default();
         let options = SimOptions {
-            mouse_threshold: args.get_num("mouse-bytes", 10_000u64)?,
-            ..SimOptions::default()
+            mouse_threshold: args.get_num("mouse-bytes", defaults.mouse_threshold)?,
+            ..defaults
         };
         let flows = jobs_to_flows(&jobs, &topo).map_err(|e| err(e.to_string()))?;
         let mut source = StaticSource::new(flows);

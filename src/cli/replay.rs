@@ -67,9 +67,10 @@ pub fn run(args: &Args) -> Result<()> {
     }
     args.check_known(FLAGS)?;
     let topo = parse_topology(args.require("topology")?)?;
+    let defaults = SimOptions::default();
     let options = SimOptions {
-        mouse_threshold: args.get_num("mouse-bytes", 10_000u64)?,
-        ..SimOptions::default()
+        mouse_threshold: args.get_num("mouse-bytes", defaults.mouse_threshold)?,
+        ..defaults
     };
 
     let closed_loop = args.get_bool("closed-loop");

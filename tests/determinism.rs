@@ -78,10 +78,7 @@ fn closed_loop_replay_is_deterministic() {
     let job = JobSpec::new(Workload::TeraSort, 512 << 20);
     let traces = Keddah::capture(&cluster, &config, &job, 2, 17);
     let topo = Topology::leaf_spine(3, 3, 2, 1e9, 4.0);
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
 
     // Trace replay: same capture, byte-identical finishes.
     let nanos = |r: &ReplayReport| -> Vec<u64> {
@@ -229,7 +226,6 @@ fn fault_schedules_never_change_comparisons_across_widths_and_oracle() {
         let model = results[0].model.as_ref().expect("cell fits a model");
         let opts = SimOptions {
             full_recompute,
-            mouse_threshold: 10_000,
             ..SimOptions::default()
         };
         let baseline = replay_model(model, &topo, 11, &FaultSpec::empty(), opts);
@@ -256,11 +252,11 @@ fn fault_schedules_never_change_comparisons_across_widths_and_oracle() {
 fn aggregation_and_solver_width_knobs_never_change_replays() {
     use keddah::faults::{generate, FaultGen};
 
-    // Flow bundles (`aggregate`) and parallel component solves
-    // (`solver_jobs`) are pure performance knobs: every cell of the
-    // matrix below — including the pre-bundle singleton shape and an
-    // 8-wide solver — must reproduce finish times, link bytes and fault
-    // accounting bit for bit, on both the clean and the faulted path.
+    // Flow bundles (`aggregate`) are a pure performance knob: the
+    // pre-bundle singleton shape must reproduce finish times, link bytes
+    // and fault accounting bit for bit, on both the clean and the
+    // faulted path. Fair-share solves are sequential, so the solver
+    // width this test is named for no longer exists.
     let cluster = ClusterSpec::racks(2, 3);
     let config = HadoopConfig::default().with_reducers(3);
     let job = JobSpec::new(Workload::TeraSort, 512 << 20);
@@ -279,11 +275,9 @@ fn aggregation_and_solver_width_knobs_never_change_replays() {
     };
     let spec = generate(&gen, 41);
 
-    let fingerprint = |aggregate: bool, solver_jobs: usize| {
+    let fingerprint = |aggregate: bool| {
         let opts = SimOptions {
             aggregate,
-            solver_jobs,
-            mouse_threshold: 10_000,
             ..SimOptions::default()
         };
         let clean = replay_model(&model, &topo, 11, &FaultSpec::empty(), opts);
@@ -300,14 +294,96 @@ fn aggregation_and_solver_width_knobs_never_change_replays() {
             faulted.sim.faults.clone(),
         )
     };
-    let base = fingerprint(true, 1);
-    assert_eq!(base, fingerprint(true, 8), "solver width changes nothing");
     assert_eq!(
-        base,
-        fingerprint(false, 1),
+        fingerprint(true),
+        fingerprint(false),
         "singleton-bundle oracle is byte-identical to aggregation"
     );
-    assert_eq!(base, fingerprint(false, 8), "oracle at width 8");
+}
+
+#[test]
+fn multi_component_solves_give_every_allocator_the_same_finishes() {
+    use keddah::des::SimTime;
+    use keddah::faults::FaultSchedule;
+    use keddah::netsim::{simulate, FlowId, FlowResult, FlowSpec, HostId, TrafficSource};
+
+    // Closed-loop rack-pair chains: each flow runs between neighbouring
+    // hosts of one rack and its completion sends the next hop back the
+    // other way. Concurrent pairs form many small link-disjoint
+    // components, so every full-recompute solve fills dozens of them
+    // with hundreds of entries in all, and entries crossing two links
+    // freeze at one bottleneck before a looser one fills the rest. Every
+    // allocator must give every flow the same max-min rate, so the three
+    // shapes must agree on every finish time.
+    const RACKS: u32 = 4;
+    const PER_RACK: u32 = 8;
+    struct Chains {
+        heads: Vec<FlowSpec>,
+        hops_left: Vec<u32>,
+    }
+    impl TrafficSource for Chains {
+        fn on_start(&mut self) -> Vec<FlowSpec> {
+            let heads = std::mem::take(&mut self.heads);
+            self.hops_left = vec![2; heads.len()];
+            heads
+        }
+        fn on_flow_complete(&mut self, id: FlowId, result: &FlowResult) -> Vec<FlowSpec> {
+            let left = self.hops_left[id.0];
+            if left == 0 {
+                return Vec::new();
+            }
+            self.hops_left.push(left - 1);
+            vec![FlowSpec {
+                src: result.spec.dst,
+                dst: result.spec.src,
+                start: result.finish,
+                ..result.spec
+            }]
+        }
+    }
+    let heads: Vec<FlowSpec> = (0..240u32)
+        .map(|i| {
+            let rack = i % RACKS;
+            let slot = (i / RACKS) % PER_RACK;
+            FlowSpec {
+                src: HostId(rack * PER_RACK + slot),
+                dst: HostId(rack * PER_RACK + (slot + 1) % PER_RACK),
+                bytes: (1 << 20) + u64::from(i % 7) * 65_536,
+                start: SimTime::from_nanos(u64::from(i) * 1_000),
+                tag: rack,
+            }
+        })
+        .collect();
+    let topo = Topology::leaf_spine(RACKS, PER_RACK, 2, 1e9, 2.0);
+    let finishes = |opts: SimOptions| -> Vec<u64> {
+        let mut source = Chains {
+            heads: heads.clone(),
+            hops_left: Vec::new(),
+        };
+        let report = simulate(
+            &topo,
+            &mut source,
+            &FaultSchedule::empty(),
+            opts,
+            &Obs::disabled(),
+        );
+        report.results.iter().map(|r| r.finish.as_nanos()).collect()
+    };
+    let base = finishes(SimOptions::default());
+    assert_eq!(base.len(), 3 * heads.len(), "every chain ran to its end");
+    for (aggregate, full_recompute) in [(false, false), (true, true), (false, true)] {
+        let got = finishes(SimOptions {
+            aggregate,
+            full_recompute,
+            ..SimOptions::default()
+        });
+        let diverged = base.iter().zip(&got).position(|(a, b)| a != b);
+        assert!(
+            got.len() == base.len() && diverged.is_none(),
+            "aggregate={aggregate} full_recompute={full_recompute}: flow {diverged:?} \
+             finished at a different time"
+        );
+    }
 }
 
 #[test]

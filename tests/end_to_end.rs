@@ -48,10 +48,7 @@ fn capture_model_generate_replay_validate() {
 
     // Replay both captured and generated traffic on the same fabric.
     let topo = Topology::leaf_spine(3, 3, 2, 1e9, 1.0);
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
     let trace_flows = trace_to_flows(&traces[0], &topo).expect("trace replays");
     let model_flows = jobs_to_flows(&[generated], &topo).expect("generated replays");
     let obs = Obs::disabled();
@@ -176,10 +173,7 @@ fn oversubscription_hurts_generated_shuffle() {
     );
     let model = Keddah::fit(&traces).expect("fits");
     let jobs = vec![model.generate_job(3)];
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
     let mean_fct = |oversub: f64| -> f64 {
         let topo = Topology::leaf_spine(3, 3, 2, 1e9, oversub);
         let flows = jobs_to_flows(&jobs, &topo).expect("replays");

@@ -30,13 +30,6 @@ fn fabric() -> Topology {
     Topology::leaf_spine(3, 3, 2, 1e9, 2.0)
 }
 
-fn options() -> SimOptions {
-    SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    }
-}
-
 /// Per-component FCT summary rows: (component tag, flow count, summed
 /// FCT nanos, max FCT nanos), sorted by tag.
 fn summarize(report: &ReplayReport) -> Vec<(u32, u64, u64, u64)> {
@@ -58,29 +51,21 @@ fn summarize(report: &ReplayReport) -> Vec<(u32, u64, u64, u64)> {
 /// Replays `name` both ways and checks the pinned summaries across the
 /// engine's performance-knob matrix: incremental vs full-recompute fair
 /// share, flow bundles vs singleton entries (the `aggregate: false`
-/// oracle shape) and sequential vs 8-way parallel component solves.
-/// Every cell must reproduce the pins bit-for-bit — the knobs trade
-/// wall-clock, never results.
+/// oracle shape). Every cell must reproduce the pins bit-for-bit — the
+/// knobs trade wall-clock, never results.
 fn check(name: &str, open_pins: &[(u32, u64, u64, u64)], closed_pins: &[(u32, u64, u64, u64)]) {
     let trace = fixture(name);
     let topo = fabric();
     let flows = trace_to_flows(&trace, &topo).expect("fixture fits the fabric");
     let obs = Obs::disabled();
-    for (full_recompute, aggregate, solver_jobs) in [
-        (false, true, 1),
-        (false, true, 8),
-        (false, false, 1),
-        (true, true, 8),
-        (true, false, 1),
-    ] {
+    for (full_recompute, aggregate) in [(false, true), (false, false), (true, true), (true, false)]
+    {
         let opts = SimOptions {
             full_recompute,
             aggregate,
-            solver_jobs,
-            ..options()
+            ..SimOptions::default()
         };
-        let knobs =
-            format!("full_recompute={full_recompute} aggregate={aggregate} jobs={solver_jobs}");
+        let knobs = format!("full_recompute={full_recompute} aggregate={aggregate}");
         let open = replay_source_observed(&topo, &mut StaticSource::new(flows.clone()), opts, &obs);
         assert_eq!(summarize(&open), open_pins, "{name} open loop ({knobs})");
         let mut source = TraceSource::new(&trace, &topo).expect("closed source");

@@ -29,13 +29,6 @@ fn fabric() -> Topology {
     Topology::leaf_spine(3, 3, 2, 1e9, 2.0)
 }
 
-fn options() -> SimOptions {
-    SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    }
-}
-
 /// A crash mid-replay plus a link loss: exercises abort, reroute and
 /// re-replication paths while being observed.
 fn crash_spec() -> FaultSpec {
@@ -56,7 +49,8 @@ fn crash_spec() -> FaultSpec {
 /// Open-loop replay of `flows` under `spec` (empty for a clean run).
 fn replay_open(topo: &Topology, flows: &[FlowSpec], spec: &FaultSpec, obs: &Obs) -> ReplayReport {
     let mut source = StaticSource::new(flows.to_vec());
-    replay_source_faulted_observed(topo, &mut source, spec, options(), obs).expect("replays")
+    replay_source_faulted_observed(topo, &mut source, spec, SimOptions::default(), obs)
+        .expect("replays")
 }
 
 fn assert_reports_identical(plain: &ReplayReport, observed: &ReplayReport, what: &str) {
@@ -131,22 +125,29 @@ fn observed_faulted_closed_loop_is_byte_identical() {
     let obs = Obs::enabled();
     let plain = {
         let mut src = TraceSource::new(&trace, &topo).expect("source");
-        replay_source_faulted_observed(&topo, &mut src, &spec, options(), &Obs::disabled())
-            .expect("plain")
+        replay_source_faulted_observed(
+            &topo,
+            &mut src,
+            &spec,
+            SimOptions::default(),
+            &Obs::disabled(),
+        )
+        .expect("plain")
     };
     let observed = {
         let mut src = TraceSource::new(&trace, &topo).expect("source");
-        replay_source_faulted_observed(&topo, &mut src, &spec, options(), &obs).expect("obs")
+        replay_source_faulted_observed(&topo, &mut src, &spec, SimOptions::default(), &obs)
+            .expect("obs")
     };
     assert_reports_identical(&plain, &observed, "faulted closed loop");
     // Closed loop with no faults, same contract.
     let plain_free = {
         let mut src = TraceSource::new(&trace, &topo).expect("source");
-        replay_source_observed(&topo, &mut src, options(), &Obs::disabled())
+        replay_source_observed(&topo, &mut src, SimOptions::default(), &Obs::disabled())
     };
     let observed_free = {
         let mut src = TraceSource::new(&trace, &topo).expect("source");
-        replay_source_observed(&topo, &mut src, options(), &Obs::enabled())
+        replay_source_observed(&topo, &mut src, SimOptions::default(), &Obs::enabled())
     };
     assert_reports_identical(&plain_free, &observed_free, "fault-free closed loop");
 }

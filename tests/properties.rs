@@ -322,9 +322,7 @@ proptest! {
     /// Per-flow rates recovered from weighted flow bundles are
     /// bit-identical to the unaggregated per-flow solve, on arbitrary
     /// topologies, path mixes and churn orders — the equivalence the
-    /// netsim bundle engine rests on. The per-flow shadow solves with a
-    /// 4-wide parallel runner, so the comparison also pins that solver
-    /// width never changes a rate.
+    /// netsim bundle engine rests on.
     #[test]
     fn aggregated_rates_match_per_flow(
         caps in prop::collection::vec(1.0f64..1e9, 1..10),
@@ -340,7 +338,7 @@ proptest! {
             .collect();
 
         let mut bundled = FairShareState::new(caps.clone(), 1e10);
-        let mut perflow = FairShareState::new(caps.clone(), 1e10).with_parallel(4);
+        let mut perflow = FairShareState::new(caps.clone(), 1e10);
         // Live flows as (path index, per-flow handle); one weighted
         // bundle entry per distinct path index.
         let mut live: Vec<(usize, FairFlowId)> = Vec::new();

@@ -189,7 +189,6 @@ fn static_source_is_byte_identical_to_pre_refactor_loop() {
     let topo = Topology::leaf_spine(3, 3, 2, 1e9, 4.0);
     let flows = fixture_flows(9, 30, 7);
     let opts = SimOptions {
-        mouse_threshold: 10_000,
         tcp_slow_start: true,
         propagation: Duration::from_micros(100),
         ..SimOptions::default()
@@ -215,10 +214,7 @@ fn closed_loop_shifts_dependent_starts_under_congestion() {
         21,
     )[0];
     let topo = Topology::leaf_spine(3, 3, 2, 1e9, 8.0);
-    let opts = SimOptions {
-        mouse_threshold: 10_000,
-        ..SimOptions::default()
-    };
+    let opts = SimOptions::default();
 
     let mut source = TraceSource::new(trace, &topo).expect("trace fits");
     assert!(source.dependent_count() > 0, "trace has dependency edges");
