@@ -39,6 +39,7 @@
 mod assembler;
 pub mod classify;
 mod flow;
+mod lines;
 mod matrix;
 mod packet;
 pub mod ports;

@@ -14,10 +14,11 @@
 //! Timestamps are seconds with microsecond precision (tcpdump's default
 //! clock display); `node<N>` hostnames carry the simulator's node ids.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 
 use keddah_des::SimTime;
 
+use crate::lines::Lines;
 use crate::packet::{NodeId, PacketRecord};
 use crate::trace::TraceError;
 
@@ -25,7 +26,9 @@ use crate::trace::TraceError;
 ///
 /// # Errors
 ///
-/// Returns any underlying I/O error.
+/// Returns any underlying I/O error, including one from the final
+/// flush: a buffered writer's `Drop` would swallow that one and leave a
+/// truncated file behind an `Ok`.
 pub fn write_text<W: Write>(packets: &[PacketRecord], mut writer: W) -> Result<(), TraceError> {
     for p in packets {
         let flag = if p.syn {
@@ -48,6 +51,7 @@ pub fn write_text<W: Write>(packets: &[PacketRecord], mut writer: W) -> Result<(
             p.bytes
         )?;
     }
+    writer.flush()?;
     Ok(())
 }
 
@@ -60,17 +64,12 @@ pub fn write_text<W: Write>(packets: &[PacketRecord], mut writer: W) -> Result<(
 /// input.
 pub fn read_text<R: Read>(reader: R) -> Result<Vec<PacketRecord>, TraceError> {
     let mut packets = Vec::new();
-    for (i, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        packets.push(parse_line(trimmed).map_err(|message| TraceError::Parse {
-            line: i + 1,
-            message,
-        })?);
-    }
+    Lines::new(reader).for_each_nonblank(|line, text| {
+        let packet =
+            parse_line(text.trim()).map_err(|message| TraceError::Parse { line, message })?;
+        packets.push(packet);
+        Ok(())
+    })?;
     Ok(packets)
 }
 
@@ -107,17 +106,13 @@ impl LenientParse {
 /// [`LenientParse::errors`].
 pub fn read_text_lenient<R: Read>(reader: R) -> Result<LenientParse, TraceError> {
     let mut out = LenientParse::default();
-    for (i, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match parse_line(trimmed) {
+    Lines::new(reader).for_each_nonblank(|line, text| {
+        match parse_line(text.trim()) {
             Ok(packet) => out.packets.push(packet),
-            Err(message) => out.errors.push((i + 1, message)),
+            Err(message) => out.errors.push((line, message)),
         }
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -325,6 +320,22 @@ mod tests {
         assert_eq!(parsed.errors[0].0, 2);
         // The strict reader refuses the same input outright.
         assert!(read_text(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn crlf_and_non_utf8_lines() {
+        let text = b"1.000000 IP node0.1 > node1.2: Flags [S], length 5\r\n\r\n";
+        assert_eq!(read_text(&text[..]).unwrap().len(), 1);
+        let bad = b"1.000000 IP node0.1 > node1.2: Flags [S], length 5\n\xff\n";
+        for err in [
+            read_text(&bad[..]).unwrap_err(),
+            read_text_lenient(&bad[..]).unwrap_err(),
+        ] {
+            match err {
+                TraceError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+                other => panic!("expected an i/o error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

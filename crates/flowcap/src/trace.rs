@@ -1,12 +1,14 @@
 //! Labelled flow traces with JSONL persistence.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize};
 
 use crate::classify::{self, Component};
-use crate::flow::FlowRecord;
+use crate::flow::{FiveTuple, FlowRecord};
+use crate::lines::Lines;
+use crate::packet::NodeId;
 use crate::stats::{component_stats, ComponentStats, Timeline};
 use keddah_des::{Duration, SimTime};
 
@@ -244,18 +246,29 @@ impl Trace {
     }
 
     /// Writes the trace as JSONL: one metadata header line, then one line
-    /// per flow.
+    /// per flow. Flow lines are exactly what `serde_json::to_string`
+    /// writes for a [`FlowRecord`]; they are encoded directly, without
+    /// the intermediate `Value` tree.
     ///
     /// # Errors
     ///
-    /// Returns any underlying I/O error.
+    /// Returns any underlying I/O error, including one from the final
+    /// flush: a buffered writer's `Drop` would swallow that one and leave
+    /// a truncated file behind an `Ok`.
     pub fn write_jsonl<W: Write>(&self, mut writer: W) -> Result<(), TraceError> {
-        let meta = serde_json::to_string(&self.meta).expect("meta serializes");
-        writeln!(writer, "{meta}")?;
+        let mut buf = serde_json::to_string(&self.meta)
+            .expect("meta serializes")
+            .into_bytes();
+        buf.push(b'\n');
         for flow in &self.flows {
-            let line = serde_json::to_string(flow).expect("flow serializes");
-            writeln!(writer, "{line}")?;
+            if buf.len() >= WRITE_CHUNK {
+                writer.write_all(&buf)?;
+                buf.clear();
+            }
+            encode_flow(flow, &mut buf);
         }
+        writer.write_all(&buf)?;
+        writer.flush()?;
         Ok(())
     }
 
@@ -266,25 +279,9 @@ impl Trace {
     /// Returns [`TraceError::MissingHeader`] on an empty stream and
     /// [`TraceError::Parse`] on malformed lines.
     pub fn read_jsonl<R: Read>(reader: R) -> Result<Trace, TraceError> {
-        let mut lines = BufReader::new(reader).lines();
-        let header = lines.next().ok_or(TraceError::MissingHeader)??;
-        let meta: TraceMeta = serde_json::from_str(&header).map_err(|e| TraceError::Parse {
-            line: 1,
-            message: e.to_string(),
-        })?;
-        let mut flows = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let flow: FlowRecord = serde_json::from_str(&line).map_err(|e| TraceError::Parse {
-                line: i + 2,
-                message: e.to_string(),
-            })?;
-            flows.push(flow);
-        }
-        Ok(Trace { meta, flows })
+        read_flow_lines(reader, |line, message| {
+            Err(TraceError::Parse { line, message })
+        })
     }
 
     /// Reads a JSONL trace, tolerating malformed flow lines: good lines
@@ -302,33 +299,176 @@ impl Trace {
     pub fn read_jsonl_lenient<R: Read>(
         reader: R,
     ) -> Result<(Trace, Vec<(usize, String)>), TraceError> {
-        let mut lines = BufReader::new(reader).lines();
-        let header = lines.next().ok_or(TraceError::MissingHeader)??;
-        let meta: TraceMeta = serde_json::from_str(&header).map_err(|e| TraceError::Parse {
-            line: 1,
-            message: e.to_string(),
-        })?;
-        let mut flows = Vec::new();
         let mut rejects = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<FlowRecord>(&line) {
+        let trace = read_flow_lines(reader, |line, message| {
+            rejects.push((line, message));
+            Ok(())
+        })?;
+        Ok((trace, rejects))
+    }
+}
+
+/// Bytes [`Trace::write_jsonl`] gathers before handing them to the writer.
+const WRITE_CHUNK: usize = 64 * 1024;
+
+/// The JSONL reader: the serde-parsed header line, then one flow per
+/// non-blank line, each bad flow line handed to `reject` with its
+/// 1-based number and serde's message.
+fn read_flow_lines<R: Read>(
+    reader: R,
+    mut reject: impl FnMut(usize, String) -> Result<(), TraceError>,
+) -> Result<Trace, TraceError> {
+    let mut lines = Lines::new(reader);
+    let (_, header) = lines.next_line()?.ok_or(TraceError::MissingHeader)?;
+    let meta: TraceMeta = serde_json::from_str(header).map_err(|e| TraceError::Parse {
+        line: 1,
+        message: e.to_string(),
+    })?;
+    let mut flows = Vec::new();
+    lines.for_each_nonblank(|line, text| {
+        match decode_flow(text.as_bytes()) {
+            Some(flow) => flows.push(flow),
+            None => match serde_json::from_str::<FlowRecord>(text) {
                 Ok(flow) => flows.push(flow),
-                Err(e) => rejects.push((i + 2, e.to_string())),
-            }
+                Err(e) => reject(line, e.to_string())?,
+            },
         }
-        Ok((Trace { meta, flows }, rejects))
+        Ok(())
+    })?;
+    Ok(Trace { meta, flows })
+}
+
+/// Appends one flow line, `\n` included, in serde's field order and
+/// compact layout.
+fn encode_flow(f: &FlowRecord, out: &mut Vec<u8>) {
+    let t = &f.tuple;
+    out.extend_from_slice(b"{\"tuple\":{\"src\":");
+    push_u64(out, u64::from(t.src.0));
+    out.extend_from_slice(b",\"src_port\":");
+    push_u64(out, u64::from(t.src_port));
+    out.extend_from_slice(b",\"dst\":");
+    push_u64(out, u64::from(t.dst.0));
+    out.extend_from_slice(b",\"dst_port\":");
+    push_u64(out, u64::from(t.dst_port));
+    out.extend_from_slice(b"},\"start\":");
+    push_u64(out, f.start.as_nanos());
+    out.extend_from_slice(b",\"end\":");
+    push_u64(out, f.end.as_nanos());
+    out.extend_from_slice(b",\"fwd_bytes\":");
+    push_u64(out, f.fwd_bytes);
+    out.extend_from_slice(b",\"rev_bytes\":");
+    push_u64(out, f.rev_bytes);
+    out.extend_from_slice(b",\"packets\":");
+    push_u64(out, f.packets);
+    out.extend_from_slice(b",\"component\":");
+    match f.component {
+        Some(c) => {
+            out.push(b'"');
+            out.extend_from_slice(c.name().as_bytes());
+            out.extend_from_slice(b"\"}\n");
+        }
+        None => out.extend_from_slice(b"null}\n"),
+    }
+}
+
+/// Appends `n` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Decodes a flow line laid out exactly as [`encode_flow`] writes it
+/// (without the `\n`). Any other text — another key order, whitespace,
+/// a leading zero, an out-of-range or overflowing number, an unknown
+/// component — returns `None`, and the caller asks serde, which stays
+/// the authority on what else is accepted and on every error message.
+/// So a `Some` here is always the record serde would have returned.
+fn decode_flow(line: &[u8]) -> Option<FlowRecord> {
+    let mut s = Scan(line);
+    s.lit(b"{\"tuple\":{\"src\":")?;
+    let src = u32::try_from(s.uint()?).ok()?;
+    s.lit(b",\"src_port\":")?;
+    let src_port = u16::try_from(s.uint()?).ok()?;
+    s.lit(b",\"dst\":")?;
+    let dst = u32::try_from(s.uint()?).ok()?;
+    s.lit(b",\"dst_port\":")?;
+    let dst_port = u16::try_from(s.uint()?).ok()?;
+    s.lit(b"},\"start\":")?;
+    let start = s.uint()?;
+    s.lit(b",\"end\":")?;
+    let end = s.uint()?;
+    s.lit(b",\"fwd_bytes\":")?;
+    let fwd_bytes = s.uint()?;
+    s.lit(b",\"rev_bytes\":")?;
+    let rev_bytes = s.uint()?;
+    s.lit(b",\"packets\":")?;
+    let packets = s.uint()?;
+    s.lit(b",\"component\":")?;
+    let component = match s.0 {
+        b"null}" => None,
+        rest => {
+            let name = rest.strip_prefix(b"\"")?.strip_suffix(b"\"}")?;
+            let known = Component::ALL
+                .iter()
+                .find(|c| c.name().as_bytes() == name)?;
+            Some(*known)
+        }
+    };
+    Some(FlowRecord {
+        tuple: FiveTuple {
+            src: NodeId(src),
+            src_port,
+            dst: NodeId(dst),
+            dst_port,
+        },
+        start: SimTime::from_nanos(start),
+        end: SimTime::from_nanos(end),
+        fwd_bytes,
+        rev_bytes,
+        packets,
+        component,
+    })
+}
+
+/// The unread rest of a line under [`decode_flow`].
+struct Scan<'a>(&'a [u8]);
+
+impl Scan<'_> {
+    /// Consumes `expected` if the rest starts with it.
+    fn lit(&mut self, expected: &[u8]) -> Option<()> {
+        self.0 = self.0.strip_prefix(expected)?;
+        Some(())
+    }
+
+    /// Consumes a canonical unsigned integer: `0`, or a non-zero digit
+    /// then digits, without overflowing `u64`.
+    fn uint(&mut self) -> Option<u64> {
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if len == 0 || (digits[0] == b'0' && len > 1) {
+            return None;
+        }
+        let mut n = 0u64;
+        for &d in digits {
+            n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+        }
+        self.0 = rest;
+        Some(n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FiveTuple;
-    use crate::packet::NodeId;
     use crate::ports;
 
     fn flow(start_s: u64, dst_port: u16, fwd: u64, rev: u64) -> FlowRecord {
@@ -446,6 +586,65 @@ mod tests {
         assert!(matches!(
             Trace::read_jsonl_lenient(&b"not json\n"[..]),
             Err(TraceError::Parse { line: 1, .. })
+        ));
+    }
+
+    /// Every flow line the writer emits takes the direct read path;
+    /// the same flow in another layout is left to serde.
+    #[test]
+    fn written_lines_decode_directly() {
+        let mut t = sample_trace();
+        t.flows[3].component = None;
+        t.flows[0].fwd_bytes = u64::MAX;
+        t.flows[0].tuple.src_port = u16::MAX;
+        let mut buf = Vec::new();
+        t.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(lines.len(), t.len());
+        for (line, flow) in lines.iter().zip(t.flows()) {
+            assert_eq!(decode_flow(line.as_bytes()), Some(*flow), "{line}");
+            assert_eq!(serde_json::to_string(flow).unwrap(), *line);
+            let spaced = line.replace(',', ", ");
+            assert_eq!(decode_flow(spaced.as_bytes()), None);
+            assert_eq!(serde_json::from_str::<FlowRecord>(&spaced).unwrap(), *flow);
+        }
+    }
+
+    /// Takes every byte but cannot flush them, like a full disk under
+    /// a `BufWriter`.
+    struct FlushFails;
+
+    impl Write for FlushFails {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("no space left on device"))
+        }
+    }
+
+    /// Both writers report a failed final flush instead of leaving it
+    /// to the `BufWriter`'s `Drop`, which ignores it.
+    #[test]
+    fn failed_final_flush_is_an_error() {
+        let t = sample_trace();
+        assert!(matches!(
+            t.write_jsonl(std::io::BufWriter::new(FlushFails)),
+            Err(TraceError::Io(_))
+        ));
+        let packets = [crate::PacketRecord::syn(
+            SimTime::ZERO,
+            NodeId(1),
+            1,
+            NodeId(2),
+            2,
+            64,
+        )];
+        assert!(matches!(
+            crate::tcpdump::write_text(&packets, std::io::BufWriter::new(FlushFails)),
+            Err(TraceError::Io(_))
         ));
     }
 

@@ -400,4 +400,26 @@ fn trace_serialization_is_stable() {
     let mut buf2 = Vec::new();
     reread.write_jsonl(&mut buf2).expect("writes again");
     assert_eq!(buf1, buf2, "byte-identical re-serialization");
+
+    // Every committed fixture reads back and re-writes to its own bytes,
+    // metadata header (fault counters included) and all.
+    let dir = format!("{}/tests/fixtures", env!("CARGO_MANIFEST_DIR"));
+    let mut fixtures = 0;
+    for entry in std::fs::read_dir(&dir).expect("fixtures dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
+            continue;
+        }
+        let bytes = std::fs::read(&path).expect("fixture reads");
+        let trace = keddah::flowcap::Trace::read_jsonl(&bytes[..]).expect("fixture parses");
+        let mut rewritten = Vec::new();
+        trace.write_jsonl(&mut rewritten).expect("writes");
+        assert!(
+            rewritten == bytes,
+            "{} does not re-write to its own bytes",
+            path.display()
+        );
+        fixtures += 1;
+    }
+    assert!(fixtures >= 6, "found only {fixtures} trace fixtures");
 }
